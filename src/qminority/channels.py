@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -48,21 +48,44 @@ class ChannelSpec:
 
 
 class KrausSet:
-    """Immutable bundle of Kraus operators with its completeness residual."""
+    """Read-only (n, d, d) stack of Kraus operators with its completeness residual.
+
+    A complex ndarray is adopted as the stack, not copied; ``operators`` are
+    views into it.
+    """
 
     def __init__(self, operators):
-        self.operators = tuple(np.asarray(a, dtype=complex) for a in operators)
-        if not self.operators:
+        self.stack = np.asarray(operators, dtype=complex)
+        if not len(self.stack):
             raise ValueError("empty Kraus set")
-        self.stack = np.stack(self.operators)
         self.stack.setflags(write=False)
+        self.operators = tuple(self.stack)
         self.completeness_residual = linalg.completeness_residual(self.stack)
 
     def __len__(self) -> int:
-        return len(self.operators)
+        return len(self.stack)
 
     def __iter__(self):
         return iter(self.operators)
+
+
+def _kron_table(factors: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``reduce(np.kron)`` of ``factors[row]`` for each row of ``index``, in that
+    order, so every entry rounds exactly as in ``linalg.tensor``."""
+    def kron(left, right):
+        n, d = left.shape[:2]
+        pairs = left[:, :, None, :, None] * right[:, None, :, None, :]
+        return pairs.reshape(n, 2 * d, 2 * d)
+    return reduce(kron, factors[index.T])
+
+
+# Factor index patterns in itertools.product order, and the Pauli string of
+# each of the 256 error patterns; built once, at import
+_PAULI_PATTERNS = np.array(list(itertools.product(range(4), repeat=N_QUBITS)))
+_PAULI_STRINGS = _kron_table(np.stack([linalg.pauli(i) for i in range(4)]),
+                             _PAULI_PATTERNS)
+_PAULI_STRINGS.setflags(write=False)
+_AD_PATTERNS = np.array(list(itertools.product(range(2), repeat=N_QUBITS)))
 
 
 def pauli_prob_vector(kind: str, p: float) -> tuple[float, float, float, float]:
@@ -90,15 +113,15 @@ def pauli_memory_kraus(kind: str, p: float, mu: float) -> KrausSet:
     next qubit repeats the previous error index, otherwise it draws fresh.
     One Kraus operator per pattern with nonzero weight.
     """
-    alpha = pauli_prob_vector(kind, p)
-    ops = []
-    for idx in itertools.product(range(4), repeat=N_QUBITS):
-        w = alpha[idx[-1]]
-        for m in range(N_QUBITS - 1):
-            w *= (1.0 - mu) * alpha[idx[m]] + (mu if idx[m] == idx[m + 1] else 0.0)
-        if w < PRUNE_EPS:
-            continue
-        ops.append(np.sqrt(w) * linalg.tensor([linalg.pauli(i) for i in idx]))
+    alpha = np.array(pauli_prob_vector(kind, p))[_PAULI_PATTERNS]
+    w = alpha[:, -1]
+    for m in range(N_QUBITS - 1):
+        same = _PAULI_PATTERNS[:, m] == _PAULI_PATTERNS[:, m + 1]
+        w = w * ((1.0 - mu) * alpha[:, m] + np.where(same, mu, 0.0))
+    keep = w >= PRUNE_EPS
+    ops = _PAULI_STRINGS[keep]
+    # complex weights keep this one complex loop; the products are unchanged
+    ops *= np.sqrt(w[keep]).astype(complex)[:, None, None]
     return KrausSet(ops)
 
 
@@ -106,12 +129,8 @@ def ad_uncorrelated_kraus(p: float) -> list[np.ndarray]:
     """Tensor products of the single-qubit damping pair, zero products dropped."""
     a0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - p)]], dtype=complex)
     a1 = np.array([[0.0, np.sqrt(p)], [0.0, 0.0]], dtype=complex)
-    ops = []
-    for combo in itertools.product((a0, a1), repeat=N_QUBITS):
-        op = linalg.tensor(combo)
-        if np.max(np.abs(op)) > 0.0:
-            ops.append(op)
-    return ops
+    stack = _kron_table(np.stack([a0, a1]), _AD_PATTERNS)
+    return list(stack[np.abs(stack).max(axis=(1, 2)) > 0.0])
 
 
 def ad_correlated_kraus(p: float) -> list[np.ndarray]:
@@ -130,13 +149,15 @@ def ad_correlated_kraus(p: float) -> list[np.ndarray]:
     return [a00, a11]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def build_channel(spec: ChannelSpec) -> KrausSet:
-    """Kraus set for one channel application, cached per operating point."""
+    """Kraus set for one channel application; only the last few are cached, as
+    runs reuse just the spec built last and long sweeps must not grow memory."""
     if spec.kind == "amplitude_damping":
-        ops = [np.sqrt(1.0 - spec.mu) * a for a in ad_uncorrelated_kraus(spec.p)]
-        ops += [np.sqrt(spec.mu) * a for a in ad_correlated_kraus(spec.p)]
-        return KrausSet([a for a in ops if np.max(np.abs(a)) > 0.0])
+        stack = np.concatenate([
+            np.sqrt(1.0 - spec.mu) * np.array(ad_uncorrelated_kraus(spec.p)),
+            np.sqrt(spec.mu) * np.array(ad_correlated_kraus(spec.p))])
+        return KrausSet(stack[np.abs(stack).max(axis=(1, 2)) > 0.0])
     return pauli_memory_kraus(spec.kind, spec.p, spec.mu)
 
 

@@ -46,14 +46,11 @@ def parse_angle(text: str) -> float:
         sign, body = -1.0, body[1:]
     if body == "pi":
         return sign * np.pi
-    if body.startswith("pi/"):
-        try:
-            return sign * np.pi / float(body[3:])
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad angle {text!r}") from None
     try:
+        if body.startswith("pi/"):
+            return sign * np.pi / float(body[3:])
         return float(raw)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"bad angle {text!r}") from None
 
 
@@ -326,6 +323,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # run_game's final-state validation failed
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

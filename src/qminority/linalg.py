@@ -78,8 +78,8 @@ def apply_kraus(rho: np.ndarray, kraus) -> np.ndarray:
 
 def completeness_residual(stack: np.ndarray) -> float:
     """max |sum_k A_k+ A_k - I| over entries."""
-    total = np.einsum("kij,kil->jl", stack.conj(), stack)
-    return float(np.max(np.abs(total - np.eye(stack.shape[1]))))
+    flat = stack.reshape(-1, stack.shape[-1])
+    return float(np.max(np.abs(flat.conj().T @ flat - np.eye(flat.shape[1]))))
 
 
 @dataclass(frozen=True)

@@ -264,6 +264,70 @@ class TestBuildChannel:
         assert np.max(np.abs(linalg.apply_kraus(rho, ks) - expected)) < 1e-13
         assert len(ks) == 18
 
+    def test_cache_is_bounded(self):
+        for k in range(200):
+            channels.build_channel(channels.ChannelSpec("bit_flip", k / 199, 0.5))
+        info = channels.build_channel.cache_info()
+        assert info.maxsize is not None and info.maxsize < 200
+        assert info.currsize <= info.maxsize
+
     def test_amplitude_damping_memory_endpoints(self):
         assert len(channels.build_channel(channels.ChannelSpec("amplitude_damping", 0.3, 0.0))) == 16
         assert len(channels.build_channel(channels.ChannelSpec("amplitude_damping", 0.3, 1.0))) == 2
+
+
+# Reference stacks built the plain way: one explicit np.kron chain per error
+# pattern, weights multiplied qubit by qubit. The library builds the same
+# stacks from fixed tables by broadcasting; the best-response lattice has
+# exact ties (alpha = -pi and +pi), so the two must agree bit for bit, not
+# merely within a tolerance.
+_PAULIS = [np.array(m, dtype=complex) for m in
+           ([[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])]
+_PATTERNS = list(itertools.product(range(4), repeat=4))
+_STRINGS = {idx: np.kron(np.kron(np.kron(_PAULIS[idx[0]], _PAULIS[idx[1]]),
+                                 _PAULIS[idx[2]]), _PAULIS[idx[3]])
+            for idx in _PATTERNS}
+EXACT_GRID = [float(x) for x in np.linspace(0.0, 1.0, 11)]
+
+
+def _reference_pauli_stack(kind, p, mu):
+    alpha = channels.pauli_prob_vector(kind, p)
+    ops = []
+    for idx in _PATTERNS:
+        w = alpha[idx[3]]
+        for m in range(3):
+            w *= (1.0 - mu) * alpha[idx[m]] + (mu if idx[m] == idx[m + 1] else 0.0)
+        if w >= channels.PRUNE_EPS:
+            ops.append(np.sqrt(w) * _STRINGS[idx])
+    return np.stack(ops)
+
+
+def _reference_ad_stack(p, mu):
+    a0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - p)]], dtype=complex)
+    a1 = np.array([[0.0, np.sqrt(p)], [0.0, 0.0]], dtype=complex)
+    chi = np.arcsin(np.sqrt(p))
+    a00 = np.eye(16, dtype=complex)
+    a00[0, 0] = np.cos(chi)
+    a11 = np.zeros((16, 16), dtype=complex)
+    a11[15, 0] = np.sin(chi)
+    ops = []
+    for combo in itertools.product((a0, a1), repeat=4):
+        op = np.kron(np.kron(np.kron(combo[0], combo[1]), combo[2]), combo[3])
+        if np.max(np.abs(op)) > 0.0:
+            ops.append(np.sqrt(1.0 - mu) * op)
+    ops += [np.sqrt(mu) * a00, np.sqrt(mu) * a11]
+    return np.stack([a for a in ops if np.max(np.abs(a)) > 0.0])
+
+
+class TestExactStacks:
+    @pytest.mark.parametrize("kind", channels.KINDS)
+    def test_bit_identical_to_plain_kron(self, kind):
+        for p in EXACT_GRID:
+            for mu in EXACT_GRID:
+                if kind == "amplitude_damping":
+                    expected = _reference_ad_stack(p, mu)
+                else:
+                    expected = _reference_pauli_stack(kind, p, mu)
+                got = channels.build_channel(channels.ChannelSpec(kind, p, mu)).stack
+                assert got.shape == expected.shape, (kind, p, mu)
+                assert np.array_equal(got, expected), (kind, p, mu)

@@ -1,11 +1,14 @@
+import argparse
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from qminority import cli
+import qminority
+from qminority import cli, linalg
 
 
 def run_cli(argv, capsys):
@@ -26,6 +29,19 @@ class TestAngleParsing:
     def test_rejects_garbage(self):
         with pytest.raises(Exception):
             cli.parse_angle("two pi")
+
+    def test_rejects_division_by_zero(self):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli.parse_angle("pi/0")
+
+    def test_division_by_zero_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["payoff", "--channel", "bf", "--p", "0.2", "--mu", "0.5",
+                      "--gamma", "pi/0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "bad angle 'pi/0'" in err
+        assert "Traceback" not in err
 
 
 class TestSweep:
@@ -206,6 +222,17 @@ class TestPayoff:
         assert abs(result["payoff_1"] - 1.0) < 1e-12
         assert abs(result["payoff_2"]) < 1e-14
 
+    def test_failed_state_validation_exits_1(self, capsys, monkeypatch):
+        broken = linalg.ValidationReport(hermiticity_residual=1.0,
+                                         trace_residual=0.0, min_eigenvalue=0.0)
+        monkeypatch.setattr(linalg, "validate_density", lambda rho: broken)
+        code, out, err = run_cli(["payoff", "--channel", "bf", "--p", "0.2",
+                                  "--mu", "0.5", "--gamma", "pi/2"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: final state failed validation")
+        assert len(err.splitlines()) == 1
+
     def test_wrong_strategy_count(self, capsys):
         code, _, err = run_cli(["payoff", "--channel", "pf", "--p", "0",
                                 "--mu", "0", "--gamma", "0",
@@ -217,8 +244,12 @@ class TestEntryPoint:
     def test_subprocess_matches_inprocess(self, tmp_path, capsys):
         argv = ["sweep", "--channel", "pf", "--vary", "p", "--mu", "0",
                 "--gamma", "pi/2", "--points", "5"]
+        # the child imports the same package as this process, installed or not
+        src = os.path.dirname(os.path.dirname(qminority.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "qminority.cli"] + argv,
-                              capture_output=True, timeout=120)
+                              capture_output=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
