@@ -85,6 +85,12 @@ _PAULI_PATTERNS = np.array(list(itertools.product(range(4), repeat=N_QUBITS)))
 _PAULI_STRINGS = _kron_table(np.stack([linalg.pauli(i) for i in range(4)]),
                              _PAULI_PATTERNS)
 _PAULI_STRINGS.setflags(write=False)
+# P_a P_b P_a = chi[a, b] P_b: chi = c (x) c (x) c (x) c, where c[i, j] is +1
+# if single-qubit Paulis i and j commute and -1 if they anticommute
+_PAULI_CHI = linalg.tensor([np.array([[1, 1, 1, 1], [1, 1, -1, -1],
+                                      [1, -1, 1, -1], [1, -1, -1, 1]],
+                                     dtype=float)] * N_QUBITS)
+_PAULI_CHI.setflags(write=False)
 _AD_PATTERNS = np.array(list(itertools.product(range(2), repeat=N_QUBITS)))
 
 
@@ -105,19 +111,26 @@ def pauli_prob_vector(kind: str, p: float) -> tuple[float, float, float, float]:
     return (1.0 - 0.75 * p, 0.25 * p, 0.25 * p, 0.25 * p)
 
 
-def pauli_memory_kraus(kind: str, p: float, mu: float) -> KrausSet:
-    """Markov-correlated Pauli channel on four qubits.
+def pauli_memory_weights(kind: str, p: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """(n, 256) Markov weights of the error patterns at n (p, mu) points.
 
     The error pattern (i1, i2, i3, i4) is drawn by seeding qubit 4 from the
     mixture weights and stepping qubit by qubit: with probability mu the
     next qubit repeats the previous error index, otherwise it draws fresh.
-    One Kraus operator per pattern with nonzero weight.
     """
-    alpha = np.array(pauli_prob_vector(kind, p))[_PAULI_PATTERNS]
-    w = alpha[:, -1]
+    alpha = np.array([pauli_prob_vector(kind, x) for x in p])[:, _PAULI_PATTERNS]
+    w = alpha[..., -1]
     for m in range(N_QUBITS - 1):
         same = _PAULI_PATTERNS[:, m] == _PAULI_PATTERNS[:, m + 1]
-        w = w * ((1.0 - mu) * alpha[:, m] + np.where(same, mu, 0.0))
+        w = w * ((1.0 - mu)[:, None] * alpha[..., m]
+                 + np.where(same, mu[:, None], 0.0))
+    return w
+
+
+def pauli_memory_kraus(kind: str, p: float, mu: float) -> KrausSet:
+    """Markov-correlated Pauli channel on four qubits: one Kraus operator per
+    error pattern with nonzero weight (see ``pauli_memory_weights``)."""
+    w = pauli_memory_weights(kind, np.array([p]), np.array([mu]))[0]
     keep = w >= PRUNE_EPS
     ops = _PAULI_STRINGS[keep]
     # complex weights keep this one complex loop; the products are unchanged
@@ -159,6 +172,66 @@ def build_channel(spec: ChannelSpec) -> KrausSet:
             np.sqrt(spec.mu) * np.array(ad_correlated_kraus(spec.p))])
         return KrausSet(stack[np.abs(stack).max(axis=(1, 2)) > 0.0])
     return pauli_memory_kraus(spec.kind, spec.p, spec.mu)
+
+
+def channel_maps(kind: str, p: np.ndarray, mu: np.ndarray):
+    """The channel at each of n (p, mu) points, as one map on (n, 16, 16) stacks.
+
+    The batched counterpart of ``build_channel`` plus ``linalg.apply_kraus``.
+    A Pauli channel is diagonal in the Pauli-string basis, with eigenvalues
+    w @ chi for the Markov weights w. Amplitude damping is (1 - mu) times the
+    single-qubit pair on each qubit plus mu times the collective pair.
+    Each point is checked to be CPTP, and ValueError raised if one is not.
+    """
+    for point in zip(p.tolist(), mu.tolist()):
+        ChannelSpec(kind, *point)  # the range checks of a single point
+    if kind == "amplitude_damping":
+        return _damping_maps(p, mu)
+    w = pauli_memory_weights(kind, p, mu)
+    _check_cptp(np.maximum(np.abs(w.sum(axis=1) - 1.0), -w.min(axis=1)))
+    # Tr(P_a P_b) = 16 delta_ab normalises the coordinates
+    scale = (w @ _PAULI_CHI) / 2 ** N_QUBITS
+    basis = _PAULI_STRINGS.reshape(len(_PAULI_STRINGS), -1)  # row a: P_a flattened
+
+    def apply(rho: np.ndarray) -> np.ndarray:
+        coords = (rho.reshape(len(rho), -1).conj() @ basis.T).conj()  # Tr(P_a rho)
+        return ((coords * scale) @ basis).reshape(rho.shape)
+    return apply
+
+
+def _check_cptp(residual: np.ndarray) -> None:
+    if residual.max() > linalg.COMPLETENESS_TOL:
+        raise ValueError(f"channel is not CPTP: residual {residual.max():.6g}")
+
+
+def _damping_maps(p: np.ndarray, mu: np.ndarray):
+    # a0 = diag(1, keep) and a1 = lose |0><1| on each qubit, and the
+    # collective pair of ``ad_correlated_kraus``, which touches only row 0,
+    # column 0 and entry [15, 15]
+    keep, lose = np.sqrt(1.0 - p), np.sqrt(p)
+    cos, sin = np.cos(np.arcsin(lose)), np.sin(np.arcsin(lose))
+    _check_cptp(np.maximum(np.abs(keep ** 2 + lose ** 2 - 1.0),
+                           np.abs(cos ** 2 + sin ** 2 - 1.0)))
+    qubit = (len(p),) + (1,) * (2 * N_QUBITS - 2)
+    keep_q, decay_q = keep.reshape(qubit), (lose ** 2).reshape(qubit)
+
+    def apply(rho: np.ndarray) -> np.ndarray:
+        product = rho.copy()
+        bits = product.reshape((len(p),) + (2,) * (2 * N_QUBITS))
+        for q in range(N_QUBITS):
+            # view with qubit q's row and column bits in front
+            block = np.moveaxis(bits, (1 + q, 1 + N_QUBITS + q), (1, 2))
+            block[:, 0, 0] += decay_q * block[:, 1, 1]
+            block[:, 1, 1] *= keep_q ** 2
+            block[:, 0, 1] *= keep_q
+            block[:, 1, 0] *= keep_q
+        collective = rho.copy()
+        collective[:, 0, :] *= cos[:, None]
+        collective[:, :, 0] *= cos[:, None]
+        collective[:, -1, -1] += sin ** 2 * rho[:, 0, 0]
+        return ((1.0 - mu)[:, None, None] * product
+                + mu[:, None, None] * collective)
+    return apply
 
 
 def verify_completeness(ks: KrausSet) -> float:

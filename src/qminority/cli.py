@@ -16,7 +16,7 @@ import tempfile
 
 import numpy as np
 
-from . import channels, formulas, game, linalg
+from . import channels, formulas, game
 
 CSV_HEADER = "channel,p,mu,gamma,player,payoff"
 COMPARE_HEADER = "channel,p,mu,gamma,formula,simulated,difference"
@@ -117,12 +117,6 @@ def cmd_sweep(args) -> int:
     return _write_output(text, args.out)
 
 
-def _ne_payoffs(kind: str, p: float, mu: float, gamma: float) -> tuple:
-    spec = channels.ChannelSpec(kind, p, mu)
-    cfg = game.GameConfig(gamma=gamma, noise_pre=spec, noise_post=spec)
-    return game.run_game(cfg).payoffs
-
-
 def _validate_checks(inject_broken: bool):
     grid = (0.0, 0.25, 0.5, 0.75, 1.0)
     checks = []
@@ -146,17 +140,13 @@ def _validate_checks(inject_broken: bool):
 
     worst_trace, worst_eig = 0.0, 0.0
     lo, hi = 0.0, 1.0
+    p, mu = np.repeat((0.0, 0.5, 1.0), 3), np.tile((0.0, 0.5, 1.0), 3)
     for kind in channels.KINDS:
-        for p in (0.0, 0.5, 1.0):
-            for mu in (0.0, 0.5, 1.0):
-                spec = channels.ChannelSpec(kind, p, mu)
-                cfg = game.GameConfig(gamma=np.pi / 2, noise_pre=spec, noise_post=spec)
-                state, payoffs = game.run_game(cfg)
-                report = linalg.validate_density(state)
-                worst_trace = max(worst_trace, report.trace_residual)
-                worst_eig = min(worst_eig, report.min_eigenvalue)
-                lo = min(lo, min(payoffs))
-                hi = max(hi, max(payoffs))
+        result = game.evaluate(kind, p, mu, np.pi / 2)
+        worst_trace = max(worst_trace, result.trace_residual.max())
+        worst_eig = min(worst_eig, result.min_eigenvalue.min())
+        lo = min(lo, result.payoffs.min())
+        hi = max(hi, result.payoffs.max())
     checks.append(("final-state trace", worst_trace <= 1e-10,
                    f"max residual {worst_trace:.3e}"))
     checks.append(("final-state positivity", worst_eig >= -1e-10,
@@ -164,19 +154,16 @@ def _validate_checks(inject_broken: bool):
     checks.append(("payoff bounds", lo >= 0.0 and hi <= 1.0,
                    f"range [{lo:.6f}, {hi:.6f}]"))
 
-    spread = 0.0
-    baseline = _ne_payoffs(channels.KINDS[0], 0.0, 0.0, np.pi / 2)[0]
-    for kind in channels.KINDS[1:]:
-        spread = max(spread, abs(_ne_payoffs(kind, 0.0, 0.0, np.pi / 2)[0] - baseline))
+    noiseless = [game.evaluate(kind, [0.0], [0.0], np.pi / 2).payoffs[0, 0]
+                 for kind in channels.KINDS]
+    spread = max(abs(x - noiseless[0]) for x in noiseless[1:])
     checks.append(("noiseless channel equality", spread <= 1e-12,
                    f"max spread {spread:.3e}"))
 
-    asym = 0.0
-    for mu in grid:
-        for p in np.linspace(0.0, 1.0, 11):
-            a = _ne_payoffs("phase_flip", float(p), mu, np.pi / 2)[0]
-            b = _ne_payoffs("phase_flip", float(1.0 - p), mu, np.pi / 2)[0]
-            asym = max(asym, abs(a - b))
+    p, mu = np.tile(np.linspace(0.0, 1.0, 11), len(grid)), np.repeat(grid, 11)
+    a = game.evaluate("phase_flip", p, mu, np.pi / 2).payoffs[:, 0]
+    b = game.evaluate("phase_flip", 1.0 - p, mu, np.pi / 2).payoffs[:, 0]
+    asym = np.max(np.abs(a - b))
     checks.append(("phase-flip symmetry", asym <= 1e-10,
                    f"max residual {asym:.3e}"))
 
@@ -323,7 +310,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:  # run_game's final-state validation failed
+    except RuntimeError as exc:  # final-state validation failed
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

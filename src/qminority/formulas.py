@@ -121,12 +121,6 @@ def formula_payoff(kind: str, p: float, mu: float, gamma: float) -> float:
     return float(_FORMS[kind](p, mu, gamma))
 
 
-def _simulated_ne_payoff(kind: str, p: float, mu: float, gamma: float) -> float:
-    spec = channels.ChannelSpec(kind, p, mu)
-    cfg = game.GameConfig(gamma=gamma, noise_pre=spec, noise_post=spec)
-    return game.run_game(cfg).payoffs[0]
-
-
 class ComparisonPoint(NamedTuple):
     p: float
     mu: float
@@ -156,12 +150,13 @@ def compare(kind: str, grid: tuple[int, int], gamma: float) -> DiscrepancyReport
     if p_points < 2 or mu_points < 2:
         raise ValueError(f"grid must be at least 2x2, got {grid}")
     tolerance = PF_TOLERANCE if kind == "phase_flip" else DEFAULT_TOLERANCE
-    points = []
-    for p in np.linspace(0.0, 1.0, p_points):
-        for mu in np.linspace(0.0, 1.0, mu_points):
-            f = formula_payoff(kind, float(p), float(mu), gamma)
-            s = _simulated_ne_payoff(kind, float(p), float(mu), gamma)
-            points.append(ComparisonPoint(float(p), float(mu), f, s, abs(f - s)))
+    cells = [(p, mu) for p in np.linspace(0.0, 1.0, p_points).tolist()
+             for mu in np.linspace(0.0, 1.0, mu_points).tolist()]
+    expected = [formula_payoff(kind, p, mu, gamma) for p, mu in cells]
+    p, mu = np.array(cells).T
+    simulated = game.evaluate(kind, p, mu, gamma).payoffs[:, 0].tolist()
+    points = [ComparisonPoint(p, mu, f, s, abs(f - s))
+              for (p, mu), f, s in zip(cells, expected, simulated)]
     max_difference = max(pt.difference for pt in points)
     verdict = "consistent" if max_difference < tolerance else "inconsistent"
     return DiscrepancyReport(kind, gamma, tolerance, tuple(points),
@@ -188,18 +183,25 @@ def overlap_check(gamma: float, p_points: int) -> OverlapReport:
 
     Report only: at mu=1 the two channels keep different collective error
     sets, so the gap is recorded, never asserted away. The report also
-    carries a cache-independence residual: the cached depolarizing channel
-    is rebuilt from scratch and both operator stacks are compared.
+    carries ``recompute_residual``: the largest difference, over both
+    channels, every point and every player, between the batched
+    ``game.evaluate`` that produced the table and the single-point reference
+    ``game.run_game``.
     """
     if p_points < 2:
         raise ValueError(f"need at least 2 points, got {p_points}")
-    points = []
-    for p in np.linspace(0.0, 1.0, p_points):
-        d = _simulated_ne_payoff("depolarizing", float(p), 1.0, gamma)
-        b = _simulated_ne_payoff("bit_phase_flip", float(p), 1.0, gamma)
-        points.append(OverlapPoint(float(p), d, b, abs(d - b)))
-    cached = channels.build_channel(channels.ChannelSpec("depolarizing", 0.5, 1.0))
-    fresh = channels.pauli_memory_kraus("depolarizing", 0.5, 1.0)
-    residual = float(np.max(np.abs(cached.stack - fresh.stack)))
-    return OverlapReport(gamma, tuple(points),
-                         max(pt.difference for pt in points), residual)
+    grid = np.linspace(0.0, 1.0, p_points)
+    tables = {kind: game.evaluate(kind, grid, 1.0, gamma).payoffs
+              for kind in ("depolarizing", "bit_phase_flip")}
+    residual = 0.0
+    for kind, table in tables.items():
+        for p, row in zip(grid.tolist(), table):
+            spec = channels.ChannelSpec(kind, p, 1.0)
+            cfg = game.GameConfig(gamma=gamma, noise_pre=spec, noise_post=spec)
+            residual = max(residual, float(np.max(np.abs(
+                row - game.run_game(cfg).payoffs))))
+    points = tuple(OverlapPoint(p, d, b, abs(d - b)) for p, d, b in zip(
+        grid.tolist(), tables["depolarizing"][:, 0].tolist(),
+        tables["bit_phase_flip"][:, 0].tolist()))
+    return OverlapReport(gamma, points, max(pt.difference for pt in points),
+                         residual)

@@ -36,6 +36,14 @@ class CurvePoint(NamedTuple):
     payoffs: tuple
 
 
+class Evaluation(NamedTuple):
+    """Batch result of ``evaluate``: one row or entry per operating point."""
+
+    payoffs: np.ndarray         # (n, 4)
+    trace_residual: np.ndarray  # (n,) of the final state
+    min_eigenvalue: np.ndarray  # (n,) of the final state
+
+
 _X4 = linalg.tensor([linalg.pauli(1)] * 4)
 
 
@@ -106,13 +114,16 @@ class GameConfig:
     def __post_init__(self):
         if self.noise_pre.kind != self.noise_post.kind:
             raise ValueError("noise stages must share one channel kind")
-        strategies = self.strategies
-        if strategies is None:
-            strategies = (ne_strategy(),) * 4
-        if len(strategies) != 4:
-            raise ValueError(f"need exactly 4 strategies, got {len(strategies)}")
-        object.__setattr__(self, "strategies",
-                           tuple(StrategyTriple(*s) for s in strategies))
+        object.__setattr__(self, "strategies", _profile(self.strategies))
+
+
+def _profile(strategies) -> tuple:
+    """Four StrategyTriples; None stands for the symmetric equilibrium profile."""
+    if strategies is None:
+        strategies = (ne_strategy(),) * 4
+    if len(strategies) != 4:
+        raise ValueError(f"need exactly 4 strategies, got {len(strategies)}")
+    return tuple(StrategyTriple(*s) for s in strategies)
 
 
 def run_game(config: GameConfig) -> GameResult:
@@ -135,6 +146,60 @@ def run_game(config: GameConfig) -> GameResult:
     return GameResult(rho, payoffs)
 
 
+# Points per batch in evaluate: bounds its working memory to a few MB
+# however long the grid is
+CHUNK_POINTS = 256
+
+
+def evaluate(kind: str, p, mu, gamma, strategies=None) -> Evaluation:
+    """Run the protocol at n operating points at once and score all players.
+
+    ``p``, ``mu`` and ``gamma`` are equal-length 1-D arrays (scalars
+    broadcast); point i plays ``strategies`` (default: the symmetric
+    equilibrium) with both noise stages at (p[i], mu[i]). This is the batched
+    path for grid workloads: the same protocol and final-state checks as
+    ``run_game``, which stays the single-point reference, with the channels
+    applied by ``channels.channel_maps`` instead of Kraus sums.
+    """
+    p, mu, gamma = np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                         for x in (p, mu, gamma)))
+    if p.ndim != 1:
+        raise ValueError(f"p, mu and gamma must be 1-D, got shape {p.shape}")
+    moves = linalg.tensor([strategy_unitary(s) for s in _profile(strategies)])
+    result = Evaluation(np.empty((len(p), 4)), np.empty(len(p)), np.empty(len(p)))
+    for start in range(0, len(p), CHUNK_POINTS):
+        part = slice(start, start + CHUNK_POINTS)
+        values = _evaluate_chunk(kind, p[part], mu[part], gamma[part], moves)
+        for out, value in zip(result, values):
+            out[part] = value
+    return result
+
+
+def _evaluate_chunk(kind, p, mu, gamma, moves):
+    noise = channels.channel_maps(kind, p, mu)
+    angles, index = np.unique(gamma, return_inverse=True)
+    gates = np.stack([entangler(g) for g in angles.tolist()])[index]
+    rho = np.zeros((len(p), 16, 16), dtype=complex)
+    rho[:, 0, 0] = 1.0
+    rho = linalg.conjugate(rho, gates)
+    rho = noise(rho)
+    rho = linalg.conjugate(rho, moves)
+    rho = noise(rho)
+    rho = linalg.conjugate(rho, gates.conj().swapaxes(-1, -2))
+    report = linalg.validate_densities(rho)
+    failed = np.flatnonzero(~report.ok)
+    if len(failed):
+        i = failed[0]
+        first = linalg.ValidationReport(float(report.hermiticity_residual[i]),
+                                        float(report.trace_residual[i]),
+                                        float(report.min_eigenvalue[i]))
+        raise RuntimeError(f"final state failed validation: {first}")
+    # the diagonal is real up to rounding; clamp so the scores stay in [0, 1]
+    probs = np.clip(np.diagonal(rho, axis1=1, axis2=2).real, 0.0, None)
+    payoffs = np.minimum(probs @ _PAYOFF_TABLE.T, 1.0)
+    return payoffs, report.trace_residual, report.min_eigenvalue
+
+
 _AXES = ("p", "mu", "gamma")
 
 
@@ -151,14 +216,12 @@ def payoff_curve(kind: str, vary: str, fixed: dict, points: int = 101) -> list:
     if set(fixed) != set(_AXES) - {vary}:
         raise ValueError(f"fixed must supply exactly {sorted(set(_AXES) - {vary})}")
     high = np.pi / 2 if vary == "gamma" else 1.0
+    grid = dict(fixed, **{vary: np.linspace(0.0, high, points)})
+    payoffs = evaluate(kind, grid["p"], grid["mu"], grid["gamma"]).payoffs
     curve = []
-    for x in np.linspace(0.0, high, points):
-        vals = dict(fixed)
-        vals[vary] = float(x)
-        spec = channels.ChannelSpec(kind, vals["p"], vals["mu"])
-        cfg = GameConfig(gamma=vals["gamma"], noise_pre=spec, noise_post=spec)
-        curve.append(CurvePoint(vals["p"], vals["mu"], vals["gamma"],
-                                run_game(cfg).payoffs))
+    for x, row in zip(grid[vary].tolist(), payoffs.tolist()):
+        vals = dict(fixed, **{vary: x})
+        curve.append(CurvePoint(vals["p"], vals["mu"], vals["gamma"], tuple(row)))
     return curve
 
 

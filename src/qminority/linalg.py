@@ -47,12 +47,16 @@ def tensor(matrices: Sequence[np.ndarray]) -> np.ndarray:
     return reduce(np.kron, matrices)
 
 
+def _dagger(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
 def conjugate(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Unitary conjugation rho -> u rho u+."""
-    residual = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
+    """Unitary conjugation rho -> u rho u+, broadcast over stacks of either."""
+    residual = np.max(np.abs(u @ _dagger(u) - np.eye(u.shape[-1])))
     if residual > UNITARY_TOL:
         raise ValueError(f"matrix is not unitary: residual {residual:.3e}")
-    return u @ rho @ u.conj().T
+    return u @ rho @ _dagger(u)
 
 
 def apply_kraus(rho: np.ndarray, kraus) -> np.ndarray:
@@ -91,17 +95,27 @@ class ValidationReport:
     min_eigenvalue: float
 
     @property
-    def ok(self) -> bool:
-        return (self.hermiticity_residual <= HERMITICITY_TOL
-                and self.trace_residual <= TRACE_TOL
-                and self.min_eigenvalue >= EIGENVALUE_FLOOR)
+    def ok(self):
+        """True when all three residuals are within tolerance; elementwise for
+        the array fields of ``validate_densities``."""
+        return ((self.hermiticity_residual <= HERMITICITY_TOL)
+                & (self.trace_residual <= TRACE_TOL)
+                & (self.min_eigenvalue >= EIGENVALUE_FLOOR))
+
+
+def validate_densities(rho: np.ndarray) -> ValidationReport:
+    """Residuals of every density matrix in a (..., d, d) stack, as arrays."""
+    herm = np.max(np.abs(rho - _dagger(rho)), axis=(-2, -1))
+    trace = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+    # eigvalsh wants an exactly hermitian input; symmetrize first so the
+    # reported spectrum is meaningful even when hermiticity already failed
+    eigs = np.linalg.eigvalsh((rho + _dagger(rho)) / 2.0)
+    return ValidationReport(herm, trace, eigs[..., 0])
 
 
 def validate_density(rho: np.ndarray) -> ValidationReport:
     """Check hermiticity, unit trace, and positivity of ``rho``."""
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    trace = float(abs(np.trace(rho) - 1.0))
-    # eigvalsh wants an exactly hermitian input; symmetrize first so the
-    # reported spectrum is meaningful even when hermiticity already failed
-    eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    return ValidationReport(herm, trace, float(eigs[0]))
+    report = validate_densities(rho)
+    return ValidationReport(float(report.hermiticity_residual),
+                            float(report.trace_residual),
+                            float(report.min_eigenvalue))

@@ -331,3 +331,29 @@ class TestExactStacks:
                 got = channels.build_channel(channels.ChannelSpec(kind, p, mu)).stack
                 assert got.shape == expected.shape, (kind, p, mu)
                 assert np.array_equal(got, expected), (kind, p, mu)
+
+
+class TestChannelMaps:
+    @pytest.mark.parametrize("kind", channels.KINDS)
+    def test_matches_kraus_sum(self, kind):
+        # one random state per (p, mu) point of the 5x5 grid, through the
+        # batched map and through the retained Kraus path
+        rng = np.random.default_rng(7)
+        p, mu = (a.ravel() for a in np.meshgrid(GRID, GRID, indexing="ij"))
+        states = np.stack([random_density(rng) for _ in p])
+        got = channels.channel_maps(kind, p, mu)(states)
+        for i in range(len(p)):
+            ks = channels.build_channel(channels.ChannelSpec(kind, p[i], mu[i]))
+            want = linalg.apply_kraus(states[i], ks)
+            assert np.max(np.abs(got[i] - want)) < 1e-14
+
+    def test_rejects_out_of_range(self):
+        with pytest.raises(ValueError, match=r"mu must be in \[0, 1\], got 1.5"):
+            channels.channel_maps("bit_flip", np.array([0.1, 0.2]), np.array([0.1, 1.5]))
+
+    def test_rejects_non_cptp_weights(self, monkeypatch):
+        weights = channels.pauli_memory_weights
+        monkeypatch.setattr(channels, "pauli_memory_weights",
+                            lambda *args: 0.5 * weights(*args))
+        with pytest.raises(ValueError, match="not CPTP"):
+            channels.channel_maps("depolarizing", np.array([0.3]), np.array([0.3]))

@@ -128,6 +128,35 @@ class TestSweep:
                       "--mu", "0", "--gamma", "0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--vary", "mu", "--p", "1.5", "--gamma", "pi/2"],
+         "error: p must be in [0, 1], got 1.5"),
+        (["--vary", "mu", "--p", "nan", "--gamma", "pi/2"],
+         "error: p must be in [0, 1], got nan"),
+        (["--vary", "p", "--mu", "-0.1", "--gamma", "pi/2"],
+         "error: mu must be in [0, 1], got -0.1"),
+        (["--vary", "p", "--mu", "0.3", "--gamma", "2"],
+         "error: gamma must be in [0, pi/2], got 2.0"),
+    ])
+    @pytest.mark.parametrize("channel", ["ad", "dep"])
+    def test_out_of_range_is_usage_error(self, capsys, channel, flags, message):
+        code, out, err = run_cli(["sweep", "--channel", channel] + flags, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [message]
+
+    def test_failed_state_validation_exits_1(self, capsys, monkeypatch):
+        def broken(rho):
+            ones = np.ones(len(rho))
+            return linalg.ValidationReport(ones, 0 * ones, 0 * ones)
+        monkeypatch.setattr(linalg, "validate_densities", broken)
+        code, out, err = run_cli(["sweep", "--channel", "bf", "--vary", "p",
+                                  "--mu", "0.5", "--gamma", "pi/2"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: final state failed validation")
+        assert len(err.splitlines()) == 1
+
     def test_long_channel_name(self, capsys):
         code, out, _ = run_cli(["sweep", "--channel", "phase_flip", "--vary", "p",
                                 "--mu", "0", "--gamma", "0", "--points", "2"], capsys)

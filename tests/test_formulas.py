@@ -161,3 +161,12 @@ class TestOverlapCheck:
 
     def test_point_count(self):
         assert len(formulas.overlap_check(G2, 31).points) == 31
+
+    def test_residual_compares_evaluate_with_run_game(self, monkeypatch):
+        fast = game.evaluate
+
+        def off_by_1e9(*args, **kwargs):
+            result = fast(*args, **kwargs)
+            return result._replace(payoffs=result.payoffs + 1e-9)
+        monkeypatch.setattr(game, "evaluate", off_by_1e9)
+        assert formulas.overlap_check(G2, 5).recompute_residual >= 1e-9

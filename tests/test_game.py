@@ -1,7 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qminority import channels, game, linalg
 
@@ -272,3 +275,144 @@ class TestBestResponseSearch:
             game.best_response_search(cfg, player=0, grid_points=5)
         with pytest.raises(ValueError):
             game.best_response_search(cfg, player=1, grid_points=1)
+
+
+# The seven (vary, fixed) parameterisations of the paper's figures
+FIGURE_SWEEPS = (
+    ("p", {"mu": 0.0, "gamma": np.pi / 2}),
+    ("p", {"mu": 0.3, "gamma": np.pi / 2}),
+    ("p", {"mu": 0.7, "gamma": np.pi / 2}),
+    ("p", {"mu": 1.0, "gamma": np.pi / 2}),
+    ("mu", {"p": 0.3, "gamma": np.pi / 2}),
+    ("mu", {"p": 0.7, "gamma": np.pi / 2}),
+    ("gamma", {"p": 0.3, "mu": 0.3}),
+)
+
+
+def assert_matches_run_game(kind, p, mu, gamma, strategies=None, tol=1e-13):
+    """evaluate against run_game point by point: payoffs, and the trace and
+    eigenvalue residuals against validate_density on run_game's state."""
+    result = game.evaluate(kind, p, mu, gamma, strategies)
+    assert result.payoffs.shape == (len(p), 4)
+    for i in range(len(p)):
+        spec = channels.ChannelSpec(kind, float(p[i]), float(mu[i]))
+        cfg = game.GameConfig(gamma=float(gamma[i]), noise_pre=spec,
+                              noise_post=spec, strategies=strategies)
+        state, payoffs = game.run_game(cfg)
+        report = linalg.validate_density(state)
+        assert np.max(np.abs(result.payoffs[i] - payoffs)) <= tol
+        assert abs(result.trace_residual[i] - report.trace_residual) <= tol
+        assert abs(result.min_eigenvalue[i] - report.min_eigenvalue) <= tol
+    return result
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("kind", channels.KINDS)
+    def test_figure_sweep_grid(self, kind):
+        # all seven sweeps in one call: 707 points over several chunks and
+        # mixed gamma values
+        axes = {"p": [], "mu": [], "gamma": []}
+        for vary, fixed in FIGURE_SWEEPS:
+            high = np.pi / 2 if vary == "gamma" else 1.0
+            for axis in axes:
+                values = (np.linspace(0.0, high, 101) if axis == vary
+                          else np.full(101, fixed[axis]))
+                axes[axis].append(values)
+        p, mu, gamma = (np.concatenate(axes[a]) for a in ("p", "mu", "gamma"))
+        assert len(p) > 2 * game.CHUNK_POINTS
+        assert_matches_run_game(kind, p, mu, gamma)
+
+    @pytest.mark.parametrize("kind", channels.KINDS)
+    def test_compare_grid(self, kind):
+        p, mu = (a.ravel() for a in np.meshgrid(np.linspace(0, 1, 11),
+                                                np.linspace(0, 1, 5), indexing="ij"))
+        assert_matches_run_game(kind, p, mu, np.full(len(p), np.pi / 2))
+
+    def test_phase_flip_grid(self):
+        p, mu, gamma = (a.ravel() for a in np.meshgrid(
+            np.linspace(0, 1, 11), np.linspace(0, 1, 5),
+            np.linspace(0, np.pi / 2, 3), indexing="ij"))
+        assert_matches_run_game("phase_flip", p, mu, gamma)
+
+    def test_scalars_broadcast(self):
+        result = game.evaluate("bit_flip", [0.1, 0.2], 0.5, np.pi / 2)
+        assert result.payoffs.shape == (2, 4)
+        assert result.trace_residual.shape == result.min_eigenvalue.shape == (2,)
+
+    @pytest.mark.parametrize("args, message", [
+        (("dephasing", [0.1], [0.1], [0.1]), "unknown channel kind"),
+        (("bit_flip", [0.1, 0.2], [0.1, 0.2, 0.3], [0.1]), "shape mismatch"),
+        (("bit_flip", [[0.1]], [0.1], [0.1]), "1-D"),
+        (("bit_flip", [0.1, 1.5], [0.1], [0.1]), r"p must be in \[0, 1\], got 1.5"),
+        (("phase_flip", [0.1], [np.nan], [0.1]), r"mu must be in \[0, 1\], got nan"),
+        (("amplitude_damping", [0.1], [0.1], [2.0]),
+         r"gamma must be in \[0, pi/2\], got 2.0"),
+    ])
+    def test_validation(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            game.evaluate(*args)
+
+    def test_rejects_bad_profile(self):
+        with pytest.raises(ValueError, match="4 strategies"):
+            game.evaluate("bit_flip", [0.1], [0.1], [0.1], (game.ne_strategy(),) * 3)
+        with pytest.raises(ValueError, match="theta"):
+            game.evaluate("bit_flip", [0.1], [0.1], [0.1],
+                          ((4.0, 0.0, 0.0),) + (game.ne_strategy(),) * 3)
+
+    def test_failed_state_validation_raises(self, monkeypatch):
+        def broken(rho):
+            report = linalg.ValidationReport(np.zeros(len(rho)), np.zeros(len(rho)),
+                                             np.zeros(len(rho)))
+            report.trace_residual[1] = 1.0
+            return report
+        monkeypatch.setattr(linalg, "validate_densities", broken)
+        with pytest.raises(RuntimeError,
+                           match=r"^final state failed validation: ValidationReport\("
+                                 r"hermiticity_residual=0.0, trace_residual=1.0"):
+            game.evaluate("depolarizing", [0.1, 0.2, 0.3], 0.5, np.pi / 2)
+
+    def test_memory_is_bounded(self):
+        # the batch is worked in fixed chunks, so the working set does not
+        # grow with the number of points
+        def peak(points):
+            grid = np.linspace(0.0, 1.0, points)
+            tracemalloc.start()
+            try:
+                game.evaluate("depolarizing", grid, 0.3, np.pi / 2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak(20_001) <= 1.5 * peak(1_001)
+
+
+unit = st.floats(0.0, 1.0)
+triples = st.builds(game.StrategyTriple, st.floats(0.0, np.pi),
+                    st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi))
+
+
+class TestEvaluateProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(channels.KINDS), p=unit, mu=unit,
+           gamma=st.floats(0.0, np.pi / 2), profile=st.lists(triples, min_size=4,
+                                                              max_size=4))
+    def test_matches_run_game(self, kind, p, mu, gamma, profile):
+        result = assert_matches_run_game(kind, [p], [mu], [gamma], tuple(profile))
+        payoffs = result.payoffs[0]
+        assert np.all((payoffs >= 0.0) & (payoffs <= 1.0))
+        assert payoffs.sum() <= 1.0 + 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(channels.KINDS), p=unit, mu=unit,
+           gamma=st.floats(0.0, np.pi / 2), triple=triples)
+    def test_symmetric_profile(self, kind, p, mu, gamma, triple):
+        # the memory chain runs along the qubit order, so a symmetric
+        # profile pays players 1 and 4, and 2 and 3, alike; all four are
+        # equal where the noise is blind to the order: no memory, full
+        # memory, amplitude damping, and phase flip (which acts on the
+        # shared resource through the parity of its errors only)
+        payoffs = game.evaluate(kind, [p, p, p], [mu, 0.0, 1.0], gamma,
+                                (triple,) * 4).payoffs
+        assert np.max(np.abs(payoffs - payoffs[:, ::-1])) <= 1e-13
+        assert np.ptp(payoffs[1:], axis=1).max() <= 1e-13
+        if kind in ("amplitude_damping", "phase_flip"):
+            assert np.ptp(payoffs[0]) <= 1e-13
