@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -50,8 +50,8 @@ class ChannelSpec:
 class KrausSet:
     """Read-only (n, d, d) stack of Kraus operators with its completeness residual.
 
-    A complex ndarray is adopted as the stack, not copied; ``operators`` are
-    views into it.
+    A complex ndarray is adopted as the stack, not copied; iterating the set
+    yields the rows of the stack.
     """
 
     def __init__(self, operators):
@@ -59,14 +59,13 @@ class KrausSet:
         if not len(self.stack):
             raise ValueError("empty Kraus set")
         self.stack.setflags(write=False)
-        self.operators = tuple(self.stack)
         self.completeness_residual = linalg.completeness_residual(self.stack)
 
     def __len__(self) -> int:
         return len(self.stack)
 
     def __iter__(self):
-        return iter(self.operators)
+        return iter(self.stack)
 
 
 def _kron_table(factors: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -138,16 +137,18 @@ def pauli_memory_kraus(kind: str, p: float, mu: float) -> KrausSet:
     return KrausSet(ops)
 
 
-def ad_uncorrelated_kraus(p: float) -> list[np.ndarray]:
-    """Tensor products of the single-qubit damping pair, zero products dropped."""
+def ad_uncorrelated_kraus(p: float) -> np.ndarray:
+    """(m, 16, 16) tensor products of the single-qubit damping pair, zero
+    products dropped."""
     a0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - p)]], dtype=complex)
     a1 = np.array([[0.0, np.sqrt(p)], [0.0, 0.0]], dtype=complex)
     stack = _kron_table(np.stack([a0, a1]), _AD_PATTERNS)
-    return list(stack[np.abs(stack).max(axis=(1, 2)) > 0.0])
+    return stack[np.abs(stack).max(axis=(1, 2)) > 0.0]
 
 
-def ad_correlated_kraus(p: float) -> list[np.ndarray]:
-    """Collective damping pair: only the all-ground component is disturbed.
+def ad_correlated_kraus(p: float) -> np.ndarray:
+    """(2, 16, 16) collective damping pair: only the all-ground component is
+    disturbed.
 
     With sin(chi) = sqrt(p), the first operator shrinks the |0..0> amplitude
     and the second transfers it to |1..1>; every state orthogonal to |0..0>
@@ -155,21 +156,19 @@ def ad_correlated_kraus(p: float) -> list[np.ndarray]:
     """
     dim = 2 ** N_QUBITS
     chi = np.arcsin(np.sqrt(p))
-    a00 = np.eye(dim, dtype=complex)
-    a00[0, 0] = np.cos(chi)
-    a11 = np.zeros((dim, dim), dtype=complex)
-    a11[dim - 1, 0] = np.sin(chi)
-    return [a00, a11]
+    pair = np.zeros((2, dim, dim), dtype=complex)
+    pair[0] = np.eye(dim)
+    pair[0, 0, 0] = np.cos(chi)
+    pair[1, dim - 1, 0] = np.sin(chi)
+    return pair
 
 
-@lru_cache(maxsize=8)
 def build_channel(spec: ChannelSpec) -> KrausSet:
-    """Kraus set for one channel application; only the last few are cached, as
-    runs reuse just the spec built last and long sweeps must not grow memory."""
+    """Kraus set for one channel application."""
     if spec.kind == "amplitude_damping":
         stack = np.concatenate([
-            np.sqrt(1.0 - spec.mu) * np.array(ad_uncorrelated_kraus(spec.p)),
-            np.sqrt(spec.mu) * np.array(ad_correlated_kraus(spec.p))])
+            np.sqrt(1.0 - spec.mu) * ad_uncorrelated_kraus(spec.p),
+            np.sqrt(spec.mu) * ad_correlated_kraus(spec.p)])
         return KrausSet(stack[np.abs(stack).max(axis=(1, 2)) > 0.0])
     return pauli_memory_kraus(spec.kind, spec.p, spec.mu)
 

@@ -130,9 +130,9 @@ def _validate_checks(inject_broken: bool):
                 if tampered:
                     # test hook: halve the first Kraus weight so the
                     # completeness check has a known failure to catch
-                    ops = list(ks.operators)
-                    ops[0] = np.sqrt(0.5) * ops[0]
-                    ks = channels.KrausSet(ops)
+                    stack = ks.stack.copy()
+                    stack[0] *= np.sqrt(0.5)
+                    ks = channels.KrausSet(stack)
                     tampered = False
                 worst = max(worst, channels.verify_completeness(ks))
     checks.append(("channel completeness", worst <= 1e-10,
@@ -212,14 +212,14 @@ def cmd_compare(args) -> int:
 
 
 def cmd_best_response(args) -> int:
+    profile = [args.others] * 4
     spec = channels.ChannelSpec(args.channel, args.p, args.mu)
     cfg = game.GameConfig(gamma=args.gamma, noise_pre=spec, noise_post=spec,
-                          strategies=(args.others,) * 4)
+                          strategies=profile)
     best, payoff = game.best_response_search(cfg, args.player, args.grid)
-    ne_strategies = tuple(game.ne_strategy() if k == args.player - 1 else s
-                          for k, s in enumerate(cfg.strategies))
+    profile[args.player - 1] = game.ne_strategy()
     ne_cfg = game.GameConfig(gamma=args.gamma, noise_pre=spec, noise_post=spec,
-                             strategies=ne_strategies)
+                             strategies=profile)
     ne_payoff = game.run_game(ne_cfg).payoffs[args.player - 1]
     text = json.dumps({
         "theta": best.theta,

@@ -9,8 +9,8 @@ split. Player k owns qubit k, with player 1 on the most significant bit.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -126,24 +126,39 @@ def _profile(strategies) -> tuple:
     return tuple(StrategyTriple(*s) for s in strategies)
 
 
+def _pre_move_state(gate: np.ndarray, noise) -> np.ndarray:
+    """J|0000>, then the first noise map, for one 16x16 gate or an (n, 16, 16) stack."""
+    rho = np.zeros(gate.shape, dtype=complex)
+    rho[..., 0, 0] = 1.0
+    return noise(linalg.conjugate(rho, gate))
+
+
+def _play(rho: np.ndarray, profile: tuple, noise, gate: np.ndarray):
+    """The moves of ``profile``, the second noise map and J+ on a pre-move state or
+    stack: returns the final state, its ValidationReport and the (..., 4) payoffs."""
+    moves = linalg.tensor([strategy_unitary(s) for s in profile])
+    rho = noise(linalg.conjugate(rho, moves))
+    rho = linalg.conjugate(rho, gate.conj().swapaxes(-1, -2))
+    report = linalg.validate_densities(rho)
+    failed = np.flatnonzero(np.logical_not(report.ok))
+    if len(failed):
+        first = linalg.ValidationReport(*(float(np.ravel(value)[failed[0]])
+                                          for value in vars(report).values()))
+        raise RuntimeError(f"final state failed validation: {first}")
+    # the diagonal is real up to rounding; clamp so the scores stay in [0, 1]. Each
+    # payoff row has two nonzero entries, so this rounds like a per-row dot product
+    probs = np.clip(np.diagonal(rho, axis1=-2, axis2=-1).real, 0.0, None)
+    return rho, report, np.minimum(probs @ _PAYOFF_TABLE.T, 1.0)
+
+
 def run_game(config: GameConfig) -> GameResult:
     """Run the protocol once and score all four players."""
-    rho = np.zeros((16, 16), dtype=complex)
-    rho[0, 0] = 1.0
     gate = entangler(config.gamma)
-    rho = linalg.conjugate(rho, gate)
-    rho = linalg.apply_kraus(rho, channels.build_channel(config.noise_pre))
-    moves = linalg.tensor([strategy_unitary(s) for s in config.strategies])
-    rho = linalg.conjugate(rho, moves)
-    rho = linalg.apply_kraus(rho, channels.build_channel(config.noise_post))
-    rho = linalg.conjugate(rho, gate.conj().T)
-    report = linalg.validate_density(rho)
-    if not report.ok:
-        raise RuntimeError(f"final state failed validation: {report}")
-    # the diagonal is real up to rounding; clamp so the scores stay in [0, 1]
-    probs = np.clip(np.diag(rho).real, 0.0, None)
-    payoffs = tuple(min(float(probs @ row), 1.0) for row in _PAYOFF_TABLE)
-    return GameResult(rho, payoffs)
+    pre = partial(linalg.apply_kraus, kraus=channels.build_channel(config.noise_pre))
+    post = pre if config.noise_post == config.noise_pre else partial(
+        linalg.apply_kraus, kraus=channels.build_channel(config.noise_post))
+    rho, _, payoffs = _play(_pre_move_state(gate, pre), config.strategies, post, gate)
+    return GameResult(rho, tuple(payoffs.tolist()))
 
 
 # Points per batch in evaluate: bounds its working memory to a few MB
@@ -165,38 +180,21 @@ def evaluate(kind: str, p, mu, gamma, strategies=None) -> Evaluation:
                                          for x in (p, mu, gamma)))
     if p.ndim != 1:
         raise ValueError(f"p, mu and gamma must be 1-D, got shape {p.shape}")
-    moves = linalg.tensor([strategy_unitary(s) for s in _profile(strategies)])
+    profile = _profile(strategies)
     result = Evaluation(np.empty((len(p), 4)), np.empty(len(p)), np.empty(len(p)))
     for start in range(0, len(p), CHUNK_POINTS):
         part = slice(start, start + CHUNK_POINTS)
-        values = _evaluate_chunk(kind, p[part], mu[part], gamma[part], moves)
+        values = _evaluate_chunk(kind, p[part], mu[part], gamma[part], profile)
         for out, value in zip(result, values):
             out[part] = value
     return result
 
 
-def _evaluate_chunk(kind, p, mu, gamma, moves):
+def _evaluate_chunk(kind, p, mu, gamma, profile):
     noise = channels.channel_maps(kind, p, mu)
     angles, index = np.unique(gamma, return_inverse=True)
     gates = np.stack([entangler(g) for g in angles.tolist()])[index]
-    rho = np.zeros((len(p), 16, 16), dtype=complex)
-    rho[:, 0, 0] = 1.0
-    rho = linalg.conjugate(rho, gates)
-    rho = noise(rho)
-    rho = linalg.conjugate(rho, moves)
-    rho = noise(rho)
-    rho = linalg.conjugate(rho, gates.conj().swapaxes(-1, -2))
-    report = linalg.validate_densities(rho)
-    failed = np.flatnonzero(~report.ok)
-    if len(failed):
-        i = failed[0]
-        first = linalg.ValidationReport(float(report.hermiticity_residual[i]),
-                                        float(report.trace_residual[i]),
-                                        float(report.min_eigenvalue[i]))
-        raise RuntimeError(f"final state failed validation: {first}")
-    # the diagonal is real up to rounding; clamp so the scores stay in [0, 1]
-    probs = np.clip(np.diagonal(rho, axis1=1, axis2=2).real, 0.0, None)
-    payoffs = np.minimum(probs @ _PAYOFF_TABLE.T, 1.0)
+    _, report, payoffs = _play(_pre_move_state(gates, noise), profile, noise, gates)
     return payoffs, report.trace_residual, report.min_eigenvalue
 
 
@@ -236,19 +234,22 @@ def best_response_search(config: GameConfig, player: int, grid_points: int):
         raise ValueError(f"player must be 1..4, got {player}")
     if grid_points < 2:
         raise ValueError(f"need at least 2 grid points, got {grid_points}")
-    thetas = np.linspace(0.0, np.pi, grid_points)
-    phases = np.linspace(-np.pi, np.pi, grid_points)
+    gate = entangler(config.gamma)
+    # the first Kraus set is dropped once it has made the shared pre-move state
+    rho = _pre_move_state(gate, partial(
+        linalg.apply_kraus, kraus=channels.build_channel(config.noise_pre)))
+    post = partial(linalg.apply_kraus, kraus=channels.build_channel(config.noise_post))
+    thetas = np.linspace(0.0, np.pi, grid_points).tolist()
+    phases = np.linspace(-np.pi, np.pi, grid_points).tolist()
+    profile = list(config.strategies)
     best = None
     best_payoff = -1.0
     for theta in thetas:
         for alpha in phases:
             for beta in phases:
-                candidate = StrategyTriple(float(theta), float(alpha), float(beta))
-                strategies = tuple(candidate if i == player - 1 else s
-                                   for i, s in enumerate(config.strategies))
-                trial = dataclasses.replace(config, strategies=strategies)
-                payoff = run_game(trial).payoffs[player - 1]
+                profile[player - 1] = StrategyTriple(theta, alpha, beta)
+                payoff = float(_play(rho, profile, post, gate)[2][player - 1])
                 if payoff > best_payoff:
-                    best = candidate
+                    best = profile[player - 1]
                     best_payoff = payoff
     return best, best_payoff

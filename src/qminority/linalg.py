@@ -66,13 +66,12 @@ def apply_kraus(rho: np.ndarray, kraus) -> np.ndarray:
     (sum A+A = I) is checked on every call; a KrausSet carries its residual
     from construction so the recheck costs nothing.
     """
-    ops = getattr(kraus, "operators", kraus)
-    residual = getattr(kraus, "completeness_residual", None)
     stack = getattr(kraus, "stack", None)
     if stack is None:
-        stack = np.stack([np.asarray(a, dtype=complex) for a in ops])
-    if residual is None:
+        stack = np.stack([np.asarray(a, dtype=complex) for a in kraus])
         residual = completeness_residual(stack)
+    else:
+        residual = kraus.completeness_residual
     if residual > COMPLETENESS_TOL:
         raise ValueError(f"Kraus completeness violated: residual {residual:.6g}")
     # (A_k rho) for all k in one batched product, then contract against A_k*

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qminority import channels, linalg
 
@@ -74,7 +76,7 @@ class TestMemoryKraus:
     def test_no_zero_operators(self):
         for kind in channels.PAULI_KINDS:
             ks = channels.pauli_memory_kraus(kind, 0.0, 0.3)
-            for op in ks.operators:
+            for op in ks:
                 assert np.max(np.abs(op)) > 0.0
 
     def test_hand_computed_weights(self):
@@ -82,10 +84,10 @@ class TestMemoryKraus:
         #   all-X tuple:  0.3 * (0.5*0.3 + 0.5)^3 = 0.0823875
         #   all-I tuple:  0.7 * (0.5*0.7 + 0.5)^3 = 0.4298875
         ks = channels.pauli_memory_kraus("bit_flip", 0.3, 0.5)
-        antidiag = [op for op in ks.operators if abs(op[0, 15]) > 0]
+        antidiag = [op for op in ks if abs(op[0, 15]) > 0]
         assert len(antidiag) == 1
         assert abs(antidiag[0][0, 15]) == pytest.approx(np.sqrt(0.0823875), abs=1e-14)
-        diag = [op for op in ks.operators
+        diag = [op for op in ks
                 if np.allclose(op, op[0, 0] * np.eye(16), atol=1e-14)]
         assert len(diag) == 1
         assert diag[0][0, 0].real == pytest.approx(np.sqrt(0.4298875), abs=1e-14)
@@ -115,7 +117,7 @@ class TestMemoryKraus:
         ks = channels.pauli_memory_kraus("bit_flip", 0.5, 1.0)
         expected = [np.sqrt(0.5) * np.eye(16),
                     np.sqrt(0.5) * linalg.tensor([linalg.pauli(1)] * 4)]
-        got = sorted(ks.operators, key=lambda op: abs(op[0, 0]), reverse=True)
+        got = sorted(ks, key=lambda op: abs(op[0, 0]), reverse=True)
         for g, e in zip(got, expected):
             assert np.allclose(g, e, atol=1e-14)
 
@@ -233,11 +235,6 @@ class TestChannelSpec:
 
 
 class TestBuildChannel:
-    def test_cached_instance(self):
-        a = channels.build_channel(channels.ChannelSpec("phase_flip", 0.5, 0.25))
-        b = channels.build_channel(channels.ChannelSpec("phase_flip", 0.5, 0.25))
-        assert a is b
-
     @pytest.mark.parametrize("kind", channels.KINDS)
     @pytest.mark.parametrize("p", GRID)
     @pytest.mark.parametrize("mu", GRID)
@@ -264,16 +261,20 @@ class TestBuildChannel:
         assert np.max(np.abs(linalg.apply_kraus(rho, ks) - expected)) < 1e-13
         assert len(ks) == 18
 
-    def test_cache_is_bounded(self):
-        for k in range(200):
-            channels.build_channel(channels.ChannelSpec("bit_flip", k / 199, 0.5))
-        info = channels.build_channel.cache_info()
-        assert info.maxsize is not None and info.maxsize < 200
-        assert info.currsize <= info.maxsize
-
     def test_amplitude_damping_memory_endpoints(self):
         assert len(channels.build_channel(channels.ChannelSpec("amplitude_damping", 0.3, 0.0))) == 16
         assert len(channels.build_channel(channels.ChannelSpec("amplitude_damping", 0.3, 1.0))) == 2
+
+
+class TestKrausPathProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(channels.KINDS), p=st.floats(0.0, 1.0),
+           mu=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_cptp(self, kind, p, mu, seed):
+        ks = channels.build_channel(channels.ChannelSpec(kind, p, mu))
+        assert ks.completeness_residual <= linalg.COMPLETENESS_TOL
+        rho = random_density(np.random.default_rng(seed))
+        assert linalg.validate_density(linalg.apply_kraus(rho, ks)).ok
 
 
 # Reference stacks built the plain way: one explicit np.kron chain per error

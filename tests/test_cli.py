@@ -254,7 +254,7 @@ class TestPayoff:
     def test_failed_state_validation_exits_1(self, capsys, monkeypatch):
         broken = linalg.ValidationReport(hermiticity_residual=1.0,
                                          trace_residual=0.0, min_eigenvalue=0.0)
-        monkeypatch.setattr(linalg, "validate_density", lambda rho: broken)
+        monkeypatch.setattr(linalg, "validate_densities", lambda rho: broken)
         code, out, err = run_cli(["payoff", "--channel", "bf", "--p", "0.2",
                                   "--mu", "0.5", "--gamma", "pi/2"], capsys)
         assert code == 1

@@ -18,6 +18,24 @@ def ne_config(kind, p, mu, gamma=np.pi / 2):
     return game.GameConfig(gamma=gamma, noise_pre=spec, noise_post=spec)
 
 
+@pytest.fixture
+def construction_counts(monkeypatch):
+    """Counts of Kraus-set builds and Kraus applications from here on."""
+    counts = {"build": 0, "apply": 0}
+    build, apply = channels.build_channel, linalg.apply_kraus
+
+    def counted_build(spec):
+        counts["build"] += 1
+        return build(spec)
+
+    def counted_apply(rho, kraus):
+        counts["apply"] += 1
+        return apply(rho, kraus)
+    monkeypatch.setattr(channels, "build_channel", counted_build)
+    monkeypatch.setattr(linalg, "apply_kraus", counted_apply)
+    return counts
+
+
 class TestEntangler:
     def test_gamma_zero_is_identity(self):
         assert np.array_equal(game.entangler(0.0), np.eye(16))
@@ -135,6 +153,10 @@ class TestRunGame:
     def test_noiseless_ne_payoff(self, kind):
         _, payoffs = game.run_game(ne_config(kind, 0.0, 0.0))
         assert payoffs == pytest.approx((0.25,) * 4, abs=1e-12)
+
+    def test_equal_stages_build_once(self, construction_counts):
+        game.run_game(ne_config("bit_flip", 0.2, 0.5))
+        assert construction_counts == {"build": 1, "apply": 2}
 
     def test_final_state_is_valid(self):
         rho, _ = game.run_game(ne_config("depolarizing", 0.4, 0.6))
@@ -268,6 +290,31 @@ class TestBestResponseSearch:
         a = game.best_response_search(cfg, player=1, grid_points=5)
         b = game.best_response_search(cfg, player=1, grid_points=5)
         assert a == b
+
+    def test_builds_and_enters_noise_once(self, construction_counts):
+        # both Kraus sets and the pre-move state are shared by the lattice;
+        # only the second noise stage runs per point
+        game.best_response_search(ne_config("bit_flip", 0.2, 0.5), player=1,
+                                  grid_points=5)
+        assert construction_counts == {"build": 2, "apply": 1 + 5 ** 3}
+
+    # The seed code's outputs for the benchmark's default best-response calls
+    # (bench/reference/best-response-{ad,dep}.json.gz). The depolarizing
+    # alpha = -pi ties exactly with +pi, and only the order of the arithmetic
+    # decides which comes first, so the triples are pinned exactly.
+    @pytest.mark.parametrize("kind,p,grid,triple,payoff", [
+        ("amplitude_damping", 0.4, 17,
+         (1.9634954084936207, -0.7853981633974483, -0.39269908169872414),
+         0.1486794627511175),
+        ("depolarizing", 0.3, 9,
+         (1.5707963267948966, -3.141592653589793, -2.356194490192345),
+         0.14554865377318205),
+    ])
+    def test_recorded_tie_resolution(self, kind, p, grid, triple, payoff):
+        best, found = game.best_response_search(ne_config(kind, p, 0.3), player=1,
+                                                grid_points=grid)
+        assert tuple(best) == triple
+        assert abs(found - payoff) <= 1e-12
 
     def test_validation(self):
         cfg = ne_config("phase_flip", 0.0, 0.0)
