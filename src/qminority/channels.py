@@ -1,4 +1,4 @@
-"""Decoherence channels with partial memory for the four-qubit register.
+"""Decoherence channels with tunable memory for the four-qubit register.
 
 Each channel is parametrized by an error probability p and a memory
 parameter mu. At mu=0 the four qubits see independent copies of the same
@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from . import linalg
+from .linalg import KrausSet
 
 KINDS = ("amplitude_damping", "depolarizing", "bit_flip", "phase_flip",
          "bit_phase_flip")
@@ -47,42 +47,11 @@ class ChannelSpec:
             raise ValueError(f"mu must be in [0, 1], got {self.mu}")
 
 
-class KrausSet:
-    """Read-only (n, d, d) stack of Kraus operators with its completeness residual.
-
-    A complex ndarray is adopted as the stack, not copied; iterating the set
-    yields the rows of the stack.
-    """
-
-    def __init__(self, operators):
-        self.stack = np.asarray(operators, dtype=complex)
-        if not len(self.stack):
-            raise ValueError("empty Kraus set")
-        self.stack.setflags(write=False)
-        self.completeness_residual = linalg.completeness_residual(self.stack)
-
-    def __len__(self) -> int:
-        return len(self.stack)
-
-    def __iter__(self):
-        return iter(self.stack)
-
-
-def _kron_table(factors: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``reduce(np.kron)`` of ``factors[row]`` for each row of ``index``, in that
-    order, so every entry rounds exactly as in ``linalg.tensor``."""
-    def kron(left, right):
-        n, d = left.shape[:2]
-        pairs = left[:, :, None, :, None] * right[:, None, :, None, :]
-        return pairs.reshape(n, 2 * d, 2 * d)
-    return reduce(kron, factors[index.T])
-
-
 # Factor index patterns in itertools.product order, and the Pauli string of
 # each of the 256 error patterns; built once, at import
 _PAULI_PATTERNS = np.array(list(itertools.product(range(4), repeat=N_QUBITS)))
-_PAULI_STRINGS = _kron_table(np.stack([linalg.pauli(i) for i in range(4)]),
-                             _PAULI_PATTERNS)
+_PAULI_STRINGS = linalg.tensor(np.stack([linalg.pauli(i) for i in range(4)])
+                               [_PAULI_PATTERNS.T])
 _PAULI_STRINGS.setflags(write=False)
 # P_a P_b P_a = chi[a, b] P_b: chi = c (x) c (x) c (x) c, where c[i, j] is +1
 # if single-qubit Paulis i and j commute and -1 if they anticommute
@@ -142,7 +111,7 @@ def ad_uncorrelated_kraus(p: float) -> np.ndarray:
     products dropped."""
     a0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - p)]], dtype=complex)
     a1 = np.array([[0.0, np.sqrt(p)], [0.0, 0.0]], dtype=complex)
-    stack = _kron_table(np.stack([a0, a1]), _AD_PATTERNS)
+    stack = linalg.tensor(np.stack([a0, a1])[_AD_PATTERNS.T])
     return stack[np.abs(stack).max(axis=(1, 2)) > 0.0]
 
 

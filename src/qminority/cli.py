@@ -2,7 +2,7 @@
 
 All output is deterministic: the same argument vector produces byte-identical
 stdout or files. Files are written to a temporary name in the target
-directory and renamed into place, so a failed run never leaves partial data.
+directory and renamed into place, so a failed run never leaves a half-written file.
 Exit codes: 0 success, 1 validation/consistency failure, 2 usage error.
 """
 

@@ -10,7 +10,6 @@ split. Player k owns qubit k, with player 1 on the most significant bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -154,9 +153,9 @@ def _play(rho: np.ndarray, profile: tuple, noise, gate: np.ndarray):
 def run_game(config: GameConfig) -> GameResult:
     """Run the protocol once and score all four players."""
     gate = entangler(config.gamma)
-    pre = partial(linalg.apply_kraus, kraus=channels.build_channel(config.noise_pre))
-    post = pre if config.noise_post == config.noise_pre else partial(
-        linalg.apply_kraus, kraus=channels.build_channel(config.noise_post))
+    pre = channels.build_channel(config.noise_pre)
+    post = (pre if config.noise_post == config.noise_pre
+            else channels.build_channel(config.noise_post))
     rho, _, payoffs = _play(_pre_move_state(gate, pre), config.strategies, post, gate)
     return GameResult(rho, tuple(payoffs.tolist()))
 
@@ -236,9 +235,8 @@ def best_response_search(config: GameConfig, player: int, grid_points: int):
         raise ValueError(f"need at least 2 grid points, got {grid_points}")
     gate = entangler(config.gamma)
     # the first Kraus set is dropped once it has made the shared pre-move state
-    rho = _pre_move_state(gate, partial(
-        linalg.apply_kraus, kraus=channels.build_channel(config.noise_pre)))
-    post = partial(linalg.apply_kraus, kraus=channels.build_channel(config.noise_post))
+    rho = _pre_move_state(gate, channels.build_channel(config.noise_pre))
+    post = channels.build_channel(config.noise_post)
     thetas = np.linspace(0.0, np.pi, grid_points).tolist()
     phases = np.linspace(-np.pi, np.pi, grid_points).tolist()
     profile = list(config.strategies)

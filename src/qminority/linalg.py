@@ -41,10 +41,20 @@ def pauli(index: int) -> np.ndarray:
 
 
 def tensor(matrices: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product of the given matrices, left factor most significant."""
+    """Kronecker product of the given matrices, left factor most significant.
+
+    (m, d, d) stacks multiply row by row and broadcast against plain matrices;
+    each entry is the same product, in the same order, as in ``reduce(np.kron)``.
+    """
     if len(matrices) == 0:
         raise ValueError("tensor() needs at least one matrix")
-    return reduce(np.kron, matrices)
+    return reduce(_kron, matrices)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    pairs = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return pairs.reshape(*pairs.shape[:-4], a.shape[-2] * b.shape[-2],
+                         a.shape[-1] * b.shape[-1])
 
 
 def _dagger(a: np.ndarray) -> np.ndarray:
@@ -62,27 +72,48 @@ def conjugate(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
 def apply_kraus(rho: np.ndarray, kraus) -> np.ndarray:
     """Operator sum rho -> sum_k A_k rho A_k+.
 
-    ``kraus`` is either a sequence of matrices or a KrausSet. Completeness
-    (sum A+A = I) is checked on every call; a KrausSet carries its residual
-    from construction so the recheck costs nothing.
+    ``kraus`` is a KrausSet, or operators that are copied into a new one, so a
+    caller's array is never adopted. Completeness (sum A+A = I) is checked on
+    every call against the residual the set carries from construction.
     """
-    stack = getattr(kraus, "stack", None)
-    if stack is None:
-        stack = np.stack([np.asarray(a, dtype=complex) for a in kraus])
-        residual = completeness_residual(stack)
-    else:
-        residual = kraus.completeness_residual
+    if not isinstance(kraus, KrausSet):
+        kraus = KrausSet(np.array(kraus, dtype=complex))
+    residual = kraus.completeness_residual
     if residual > COMPLETENESS_TOL:
         raise ValueError(f"Kraus completeness violated: residual {residual:.6g}")
     # (A_k rho) for all k in one batched product, then contract against A_k*
-    tmp = stack @ rho
-    return np.tensordot(tmp, stack.conj(), axes=([0, 2], [0, 2]))
+    tmp = kraus.stack @ rho
+    return np.tensordot(tmp, kraus.stack.conj(), axes=([0, 2], [0, 2]))
 
 
 def completeness_residual(stack: np.ndarray) -> float:
     """max |sum_k A_k+ A_k - I| over entries."""
     flat = stack.reshape(-1, stack.shape[-1])
     return float(np.max(np.abs(flat.conj().T @ flat - np.eye(flat.shape[1]))))
+
+
+class KrausSet:
+    """Read-only (n, d, d) stack of Kraus operators with its completeness residual.
+
+    A complex ndarray is adopted as the stack, not copied. Iterating the set
+    yields its rows; calling it is the channel, ``ks(rho) == apply_kraus(rho, ks)``.
+    """
+
+    def __init__(self, operators):
+        self.stack = np.asarray(operators, dtype=complex)
+        if not len(self.stack):
+            raise ValueError("empty Kraus set")
+        self.stack.setflags(write=False)
+        self.completeness_residual = completeness_residual(self.stack)
+
+    def __len__(self) -> int:
+        return len(self.stack)
+
+    def __iter__(self):
+        return iter(self.stack)
+
+    def __call__(self, rho: np.ndarray) -> np.ndarray:
+        return apply_kraus(rho, self)
 
 
 @dataclass(frozen=True)

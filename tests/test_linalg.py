@@ -1,7 +1,10 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
-from qminority import linalg
+import qminority
+from qminority import channels, game, linalg
 
 
 def operator_sum(rho, ops):
@@ -181,3 +184,66 @@ class TestValidateDensity:
         report = linalg.validate_density(rho)
         assert report.ok
         assert report.min_eigenvalue >= 0.0
+
+
+class TestTensorStacks:
+    # np.kron has no notion of a stack: reduce(np.kron) over (m, 2, 2) arrays
+    # gives an (m^k, ...) block matrix, so the oracle runs it row by row
+
+    def test_stack_matches_rowwise_kron(self):
+        rng = np.random.default_rng(5)
+        factors = [rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2))
+                   for _ in range(4)]
+        expected = np.stack([reduce(np.kron, row) for row in zip(*factors)])
+        got = linalg.tensor(factors)
+        assert got.shape == (6, 16, 16)
+        assert np.array_equal(got, expected)
+
+    def test_matrices_broadcast_against_stacks(self):
+        rng = np.random.default_rng(6)
+        stack = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+        x, z = linalg.pauli(1), linalg.pauli(3)
+        got = linalg.tensor([x, stack, z])
+        assert got.shape == (3, 8, 8)
+        for row, op in zip(got, stack):
+            assert np.array_equal(row, reduce(np.kron, [x, op, z]))
+
+    def test_random_moves_match_kron(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            moves = [game.strategy_unitary(game.StrategyTriple(
+                rng.uniform(0.0, np.pi), *rng.uniform(-np.pi, np.pi, size=2)))
+                for _ in range(4)]
+            assert np.array_equal(linalg.tensor(moves), reduce(np.kron, moves))
+
+
+class TestKrausSet:
+    def test_caller_array_not_adopted(self):
+        ops = np.stack([np.sqrt(0.5) * np.eye(16), np.sqrt(0.5) * np.eye(16)[::-1]]
+                       ).astype(complex)
+        before = ops.copy()
+        linalg.apply_kraus(np.eye(16, dtype=complex) / 16, ops)
+        assert ops.flags.writeable
+        assert np.array_equal(ops, before)
+
+    def test_input_forms_agree_bitwise(self):
+        rng = np.random.default_rng(8)
+        ops = [np.sqrt(0.3) * random_unitary(rng), np.sqrt(0.7) * random_unitary(rng)]
+        rho = random_density(rng)
+        from_list = linalg.apply_kraus(rho, ops)
+        assert np.array_equal(linalg.apply_kraus(rho, np.stack(ops)), from_list)
+        assert np.array_equal(linalg.apply_kraus(rho, linalg.KrausSet(ops)), from_list)
+
+    def test_call_is_apply_kraus(self):
+        rng = np.random.default_rng(9)
+        ks = linalg.KrausSet([np.sqrt(0.4) * random_unitary(rng),
+                              np.sqrt(0.6) * random_unitary(rng)])
+        rho = random_density(rng)
+        assert np.array_equal(ks(rho), linalg.apply_kraus(rho, ks))
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(ValueError):
+            linalg.apply_kraus(np.eye(16, dtype=complex) / 16, [])
+
+    def test_one_class(self):
+        assert qminority.KrausSet is channels.KrausSet is linalg.KrausSet
