@@ -110,12 +110,7 @@ _FORMS = {
 
 def formula_payoff(kind: str, p: float, mu: float, gamma: float) -> float:
     """Reference curve value for one channel at one operating point."""
-    if kind not in _FORMS:
-        raise ValueError(f"unknown channel kind {kind!r}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must be in [0, 1], got {mu}")
+    channels.ChannelSpec(kind, p, mu)  # the kind, p and mu checks of one channel
     if not 0.0 <= gamma <= np.pi / 2:
         raise ValueError(f"gamma must be in [0, pi/2], got {gamma}")
     return float(_FORMS[kind](p, mu, gamma))

@@ -132,11 +132,10 @@ def _pre_move_state(gate: np.ndarray, noise) -> np.ndarray:
     return noise(linalg.conjugate(rho, gate))
 
 
-def _play(rho: np.ndarray, profile: tuple, noise, gate: np.ndarray):
-    """The moves of ``profile``, the second noise map and J+ on a pre-move state or
-    stack: returns the final state, its ValidationReport and the (..., 4) payoffs."""
-    moves = linalg.tensor([strategy_unitary(s) for s in profile])
-    rho = noise(linalg.conjugate(rho, moves))
+def _play(rho: np.ndarray, moves: list, noise, gate: np.ndarray):
+    """The four moves (each 2x2, or (n, 2, 2) for n states), the second noise map and
+    J+: returns the final state, its ValidationReport and the (..., 4) payoffs."""
+    rho = noise(linalg.conjugate(rho, linalg.tensor(moves)))
     rho = linalg.conjugate(rho, gate.conj().swapaxes(-1, -2))
     report = linalg.validate_densities(rho)
     failed = np.flatnonzero(np.logical_not(report.ok))
@@ -156,7 +155,8 @@ def run_game(config: GameConfig) -> GameResult:
     pre = channels.build_channel(config.noise_pre)
     post = (pre if config.noise_post == config.noise_pre
             else channels.build_channel(config.noise_post))
-    rho, _, payoffs = _play(_pre_move_state(gate, pre), config.strategies, post, gate)
+    moves = [strategy_unitary(s) for s in config.strategies]
+    rho, _, payoffs = _play(_pre_move_state(gate, pre), moves, post, gate)
     return GameResult(rho, tuple(payoffs.tolist()))
 
 
@@ -179,21 +179,21 @@ def evaluate(kind: str, p, mu, gamma, strategies=None) -> Evaluation:
                                          for x in (p, mu, gamma)))
     if p.ndim != 1:
         raise ValueError(f"p, mu and gamma must be 1-D, got shape {p.shape}")
-    profile = _profile(strategies)
+    moves = [strategy_unitary(s) for s in _profile(strategies)]
     result = Evaluation(np.empty((len(p), 4)), np.empty(len(p)), np.empty(len(p)))
     for start in range(0, len(p), CHUNK_POINTS):
         part = slice(start, start + CHUNK_POINTS)
-        values = _evaluate_chunk(kind, p[part], mu[part], gamma[part], profile)
+        values = _evaluate_chunk(kind, p[part], mu[part], gamma[part], moves)
         for out, value in zip(result, values):
             out[part] = value
     return result
 
 
-def _evaluate_chunk(kind, p, mu, gamma, profile):
+def _evaluate_chunk(kind, p, mu, gamma, moves):
     noise = channels.channel_maps(kind, p, mu)
     angles, index = np.unique(gamma, return_inverse=True)
     gates = np.stack([entangler(g) for g in angles.tolist()])[index]
-    _, report, payoffs = _play(_pre_move_state(gates, noise), profile, noise, gates)
+    _, report, payoffs = _play(_pre_move_state(gates, noise), moves, noise, gates)
     return payoffs, report.trace_residual, report.min_eigenvalue
 
 
@@ -239,15 +239,15 @@ def best_response_search(config: GameConfig, player: int, grid_points: int):
     post = channels.build_channel(config.noise_post)
     thetas = np.linspace(0.0, np.pi, grid_points).tolist()
     phases = np.linspace(-np.pi, np.pi, grid_points).tolist()
-    profile = list(config.strategies)
-    best = None
-    best_payoff = -1.0
-    for theta in thetas:
-        for alpha in phases:
-            for beta in phases:
-                profile[player - 1] = StrategyTriple(theta, alpha, beta)
-                payoff = float(_play(rho, profile, post, gate)[2][player - 1])
-                if payoff > best_payoff:
-                    best = profile[player - 1]
-                    best_payoff = payoff
-    return best, best_payoff
+    lattice = [StrategyTriple(t, a, b) for t in thetas for a in phases for b in phases]
+    moves = [strategy_unitary(s) for s in config.strategies]
+    # a chunk makes at most CHUNK_POINTS // 4 Kraus products (one point if k is
+    # larger), so apply_kraus's (chunk, k, 16, 16) products stay within 1 MB
+    chunk = max(1, (CHUNK_POINTS // 4) // len(post))
+    payoffs = []
+    for start in range(0, len(lattice), chunk):
+        moves[player - 1] = np.stack([strategy_unitary(s)
+                                      for s in lattice[start:start + chunk]])
+        payoffs.extend(_play(rho, moves, post, gate)[2][:, player - 1].tolist())
+    best = int(np.argmax(payoffs))  # the first maximum: ties keep the earliest point
+    return lattice[best], payoffs[best]

@@ -1,7 +1,8 @@
 """Dense complex linear algebra for few-qubit density matrices.
 
-Everything here works on plain numpy arrays. States are density matrices,
-channels act through explicit Kraus operator sums, and the contract checks
+Everything here works on plain numpy arrays. States are density matrices or
+(..., d, d) stacks of them: conjugation, explicit Kraus operator sums and
+validation all broadcast over the leading state axes. The contract checks
 (unitarity, completeness, state validity) live next to the operations that
 need them so callers cannot skip them by accident.
 """
@@ -70,7 +71,7 @@ def conjugate(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def apply_kraus(rho: np.ndarray, kraus) -> np.ndarray:
-    """Operator sum rho -> sum_k A_k rho A_k+.
+    """Operator sum rho -> sum_k A_k rho A_k+, broadcast over a stack of states.
 
     ``kraus`` is a KrausSet, or operators that are copied into a new one, so a
     caller's array is never adopted. Completeness (sum A+A = I) is checked on
@@ -81,9 +82,10 @@ def apply_kraus(rho: np.ndarray, kraus) -> np.ndarray:
     residual = kraus.completeness_residual
     if residual > COMPLETENESS_TOL:
         raise ValueError(f"Kraus completeness violated: residual {residual:.6g}")
-    # (A_k rho) for all k in one batched product, then contract against A_k*
-    tmp = kraus.stack @ rho
-    return np.tensordot(tmp, kraus.stack.conj(), axes=([0, 2], [0, 2]))
+    # every A_k rho in one product, then one (d, k*d) @ (k*d, d) product per state
+    tmp = np.swapaxes(kraus.stack @ rho[..., None, :, :], -3, -2)
+    return (tmp.reshape(*rho.shape[:-1], -1)
+            @ _dagger(kraus.stack).reshape(-1, rho.shape[-1]))
 
 
 def completeness_residual(stack: np.ndarray) -> float:

@@ -91,13 +91,13 @@ class TestOtherFormulas:
         assert abs((b - a) - 0.125) < 1e-12
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unknown channel kind 'dephasing'$"):
             formulas.formula_payoff("dephasing", 0.1, 0.1, G2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^p must be in \[0, 1\], got 1\.5$"):
             formulas.formula_payoff("bit_flip", 1.5, 0.1, G2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^mu must be in \[0, 1\], got -0\.1$"):
             formulas.formula_payoff("bit_flip", 0.1, -0.1, G2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^gamma must be in \[0, pi/2\], got 2\.0$"):
             formulas.formula_payoff("bit_flip", 0.1, 0.1, 2.0)
 
 

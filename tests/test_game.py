@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -293,10 +295,37 @@ class TestBestResponseSearch:
 
     def test_builds_and_enters_noise_once(self, construction_counts):
         # both Kraus sets and the pre-move state are shared by the lattice;
-        # only the second noise stage runs per point
+        # only the second noise stage runs, once per chunk of lattice points
         game.best_response_search(ne_config("bit_flip", 0.2, 0.5), player=1,
                                   grid_points=5)
-        assert construction_counts == {"build": 2, "apply": 1 + 5 ** 3}
+        chunk = max(1, (game.CHUNK_POINTS // 4) // 16)  # 16 bit-flip operators
+        assert construction_counts == {"build": 2, "apply": 1 + math.ceil(5 ** 3 / chunk)}
+
+    @pytest.mark.parametrize("kind,p,mu,grid,gamma,others", [
+        ("bit_flip", 0.2, 0.5, 5, np.pi / 2, None),      # 16 operators, 4 points per chunk
+        ("depolarizing", 0.3, 0.3, 3, np.pi / 2, None),  # 256 operators, 1 point per chunk
+        ("phase_flip", 0.0, 0.0, 5, np.pi / 2, None),    # 1 operator, 64 points per chunk
+        # against three classical stay moves at gamma = 0 the theta = pi flips
+        # win, and they all lie in the last, partial chunk
+        ("phase_flip", 0.0, 0.0, 5, 0.0, (0.0, 0.0, 0.0)),
+    ])
+    def test_matches_per_point_run_game(self, kind, p, mu, grid, gamma, others):
+        # every lattice ends in a partial chunk; the search must agree exactly
+        # with a theta-major scan that plays each point through run_game
+        spec = channels.ChannelSpec(kind, p, mu)
+        cfg = game.GameConfig(gamma=gamma, noise_pre=spec, noise_post=spec,
+                              strategies=None if others is None else (others,) * 4)
+        best, best_payoff = None, -1.0
+        thetas = np.linspace(0.0, np.pi, grid).tolist()
+        phases = np.linspace(-np.pi, np.pi, grid).tolist()
+        for triple in itertools.product(thetas, phases, phases):
+            profile = (game.StrategyTriple(*triple),) + cfg.strategies[1:]
+            payoff = game.run_game(dataclasses.replace(cfg, strategies=profile)).payoffs[0]
+            if payoff > best_payoff:
+                best, best_payoff = triple, payoff
+        found, found_payoff = game.best_response_search(cfg, player=1, grid_points=grid)
+        assert tuple(found) == best
+        assert found_payoff == best_payoff
 
     # The seed code's outputs for the benchmark's default best-response calls
     # (bench/reference/best-response-{ad,dep}.json.gz). The depolarizing

@@ -149,6 +149,26 @@ class TestApplyKraus:
             # sum A+A = 0.25 I, residual 0.75
             linalg.apply_kraus(rho, [0.5 * np.eye(16)])
 
+    # n = 16 equals the operator count, which an operator sum that pairs state
+    # i with operator i would accept without a shape error
+    @pytest.mark.parametrize("n", [3, 16])
+    def test_stack_matches_per_state_calls(self, n):
+        ks = channels.build_channel(channels.ChannelSpec("bit_flip", 0.2, 0.5))
+        assert len(ks) == 16
+        rng = np.random.default_rng(7)
+        stack = np.stack([random_density(rng) for _ in range(n)])
+        out = linalg.apply_kraus(stack, ks)
+        assert out.shape == (n, 16, 16)
+        for rho, got in zip(stack, out):
+            assert np.array_equal(got, linalg.apply_kraus(rho, ks))
+
+    def test_stack_list_input_matches_kraus_set(self):
+        ks = channels.build_channel(channels.ChannelSpec("bit_flip", 0.2, 0.5))
+        rng = np.random.default_rng(8)
+        stack = np.stack([random_density(rng) for _ in range(3)])
+        assert np.array_equal(linalg.apply_kraus(stack, list(ks)),
+                              linalg.apply_kraus(stack, ks))
+
 
 class TestValidateDensity:
     def test_valid_state(self):
