@@ -222,12 +222,70 @@ def payoff_curve(kind: str, vary: str, fixed: dict, points: int = 101) -> list:
     return curve
 
 
+# best_response_search replays on the Kraus path every lattice point whose
+# quadratic-form score is within this margin of the best score. The form and
+# the Kraus path differ by rounding alone (under 1e-15 on random profiles);
+# any margin of at least twice that gap keeps every true maximiser among the
+# replayed points, and the search checks the gap at each of them
+_SCREEN_MARGIN = 1e-9
+
+# I, iX, iY and iZ: the moves at the four unit quaternions q
+_QUATERNION_MOVES = np.stack([linalg.pauli(0)] + [1j * linalg.pauli(k) for k in (1, 2, 3)])
+
+
+def _play_slot(rho, moves: list, player: int, stack: np.ndarray, noise, gate) -> np.ndarray:
+    """The searched player's payoffs for an (n, 2, 2) stack of moves in their slot."""
+    # a chunk makes at most CHUNK_POINTS // 4 Kraus products (one point if k is
+    # larger), so apply_kraus's (chunk, k, 16, 16) products stay within 1 MB
+    chunk = max(1, (CHUNK_POINTS // 4) // len(noise))
+    moves = list(moves)
+    payoffs = []
+    for start in range(0, len(stack), chunk):
+        moves[player - 1] = stack[start:start + chunk]
+        payoffs.append(_play(rho, moves, noise, gate)[2][:, player - 1])
+    return np.concatenate(payoffs)
+
+
+def _payoff_form(rho, moves: list, player: int, noise, gate) -> np.ndarray:
+    """The real symmetric 4x4 A with payoff q^T A q for the move q0 I + i(q1 X + q2 Y + q3 Z).
+
+    The four unit quaternions give the diagonal, and the six (e_i + e_j)/sqrt(2)
+    give the off-diagonal entries by polarisation: ten plays in one stack.
+    """
+    i, j = np.triu_indices(4, 1)
+    pairs = (_QUATERNION_MOVES[i] + _QUATERNION_MOVES[j]) / np.sqrt(2)
+    values = _play_slot(rho, moves, player, np.concatenate([_QUATERNION_MOVES, pairs]),
+                        noise, gate)
+    form = np.diag(values[:4])
+    form[i, j] = form[j, i] = values[4:] - (values[i] + values[j]) / 2
+    return form
+
+
+def _slab_scores(form: np.ndarray, theta: float, phases: np.ndarray) -> np.ndarray:
+    """q^T A q at the lattice points of one theta slab, alpha-major then beta."""
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    cos, sin = np.cos(phases), np.sin(phases)
+    # q = (c cos alpha, s cos beta, -s sin beta, c sin alpha) over (alpha, beta)
+    q = np.stack(np.broadcast_arrays(c * cos[:, None], s * cos, -s * sin, c * sin[:, None]),
+                 axis=-1)
+    return np.einsum("...i,ij,...j->...", q, form, q).ravel()
+
+
 def best_response_search(config: GameConfig, player: int, grid_points: int):
-    """Exhaustive lattice search over one player's move, others held fixed.
+    """Lattice search over one player's move, others held fixed.
 
     Returns the best triple and its payoff. The lattice covers theta over
     [0, pi] and both phases over [-pi, pi], endpoints included. Ties keep
     the earliest lattice point, theta-major, then alpha, then beta.
+
+    The payoff is a quadratic form q^T A q in the move's unit quaternion q,
+    and ten plays on the Kraus path build A. The form scores the lattice one
+    theta slab at a time, so memory grows with grid_points**2: a first pass
+    finds the best score, and a second replays on the Kraus path, slab by
+    slab, only the points within ``_SCREEN_MARGIN`` of it. The first maximum
+    of the replayed payoffs wins. If any replayed payoff differs from its
+    score by more than a quarter of the margin, the whole lattice is replayed
+    instead, so the answer is always that of the exhaustive scan.
     """
     if player not in (1, 2, 3, 4):
         raise ValueError(f"player must be 1..4, got {player}")
@@ -237,17 +295,30 @@ def best_response_search(config: GameConfig, player: int, grid_points: int):
     # the first Kraus set is dropped once it has made the shared pre-move state
     rho = _pre_move_state(gate, channels.build_channel(config.noise_pre))
     post = channels.build_channel(config.noise_post)
-    thetas = np.linspace(0.0, np.pi, grid_points).tolist()
-    phases = np.linspace(-np.pi, np.pi, grid_points).tolist()
-    lattice = [StrategyTriple(t, a, b) for t in thetas for a in phases for b in phases]
     moves = [strategy_unitary(s) for s in config.strategies]
-    # a chunk makes at most CHUNK_POINTS // 4 Kraus products (one point if k is
-    # larger), so apply_kraus's (chunk, k, 16, 16) products stay within 1 MB
-    chunk = max(1, (CHUNK_POINTS // 4) // len(post))
-    payoffs = []
-    for start in range(0, len(lattice), chunk):
-        moves[player - 1] = np.stack([strategy_unitary(s)
-                                      for s in lattice[start:start + chunk]])
-        payoffs.extend(_play(rho, moves, post, gate)[2][:, player - 1].tolist())
-    best = int(np.argmax(payoffs))  # the first maximum: ties keep the earliest point
-    return lattice[best], payoffs[best]
+    form = _payoff_form(rho, moves, player, post, gate)
+    thetas = np.linspace(0.0, np.pi, grid_points).tolist()
+    phases = np.linspace(-np.pi, np.pi, grid_points)
+    floor = max(_slab_scores(form, theta, phases).max() for theta in thetas) - _SCREEN_MARGIN
+
+    def scan(screened: bool):
+        """Each slab's first maximum over its screened points, or over all of them;
+        None when a screened payoff strays from its score."""
+        found = []
+        for theta in thetas:
+            scores = _slab_scores(form, theta, phases)
+            kept = np.flatnonzero(scores >= floor) if screened else np.arange(scores.size)
+            if not len(kept):
+                continue
+            alphas, betas = np.divmod(kept, grid_points)
+            triples = [StrategyTriple(theta, alpha, beta) for alpha, beta
+                       in zip(phases[alphas].tolist(), phases[betas].tolist())]
+            stack = np.stack([strategy_unitary(s) for s in triples])
+            payoffs = _play_slot(rho, moves, player, stack, post, gate)
+            if screened and not np.all(np.abs(payoffs - scores[kept]) <= _SCREEN_MARGIN / 4):
+                return None
+            best = int(np.argmax(payoffs))  # the first maximum: ties keep the earliest point
+            found.append((triples[best], payoffs[best].item()))
+        return max(found, key=lambda point: point[1])  # ties keep the earliest slab
+
+    return scan(screened=True) or scan(screened=False)

@@ -1,14 +1,26 @@
 import argparse
+import gzip
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qminority
 from qminority import cli, linalg
+
+
+# Every best-response call the benchmark can make, keyed by its arguments, with
+# the seed code's exit code and outputs
+RECORDED_BEST_RESPONSES = {
+    key: call
+    for kind in ("ad", "dep")
+    for key, call in json.loads(gzip.decompress(
+        (Path(__file__).resolve().parents[1] / "bench" / "reference"
+         / f"best-response-{kind}.json.gz").read_bytes())).items()}
 
 
 def run_cli(argv, capsys):
@@ -227,6 +239,18 @@ class TestBestResponse:
         result = json.loads(out)
         assert result["payoff"] <= 0.25 + 1e-6
         assert abs(result["ne_payoff"] - 0.25) < 1e-10
+
+    @pytest.mark.parametrize("key", sorted(RECORDED_BEST_RESPONSES))
+    def test_recorded_call(self, key, tmp_path, capsys):
+        ref = RECORDED_BEST_RESPONSES[key]
+        out = tmp_path / "best.json"
+        code, stdout, _ = run_cli(key.split() + ["--out", str(out)], capsys)
+        assert (code, stdout) == (ref["code"], ref["stdout"])
+        got, want = json.loads(out.read_text()), json.loads(ref["out"])
+        assert [got[k] for k in ("theta", "alpha", "beta")] == [
+            want[k] for k in ("theta", "alpha", "beta")]
+        assert abs(got["payoff"] - want["payoff"]) <= 1e-12
+        assert abs(got["ne_payoff"] - want["ne_payoff"]) <= 1e-12
 
 
 class TestPayoff:

@@ -1,11 +1,10 @@
 import dataclasses
 import itertools
-import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qminority import channels, game, linalg
@@ -18,6 +17,11 @@ def noiseless(kind="phase_flip"):
 def ne_config(kind, p, mu, gamma=np.pi / 2):
     spec = channels.ChannelSpec(kind, p, mu)
     return game.GameConfig(gamma=gamma, noise_pre=spec, noise_post=spec)
+
+
+unit = st.floats(0.0, 1.0)
+triples = st.builds(game.StrategyTriple, st.floats(0.0, np.pi),
+                    st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi))
 
 
 @pytest.fixture
@@ -294,12 +298,14 @@ class TestBestResponseSearch:
         assert a == b
 
     def test_builds_and_enters_noise_once(self, construction_counts):
-        # both Kraus sets and the pre-move state are shared by the lattice;
-        # only the second noise stage runs, once per chunk of lattice points
+        # both Kraus sets and the pre-move state are shared by the search; only
+        # the second noise stage runs, once per chunk of played moves. With 16
+        # bit-flip operators a chunk is (CHUNK_POINTS // 4) // 16 = 4 moves, so
+        # the pre-move state, the 10 form probes and the 7 screened candidates,
+        # all in the theta = pi/2 slab, make 1 + ceil(10 / 4) + ceil(7 / 4) = 6
         game.best_response_search(ne_config("bit_flip", 0.2, 0.5), player=1,
                                   grid_points=5)
-        chunk = max(1, (game.CHUNK_POINTS // 4) // 16)  # 16 bit-flip operators
-        assert construction_counts == {"build": 2, "apply": 1 + math.ceil(5 ** 3 / chunk)}
+        assert construction_counts == {"build": 2, "apply": 6}
 
     @pytest.mark.parametrize("kind,p,mu,grid,gamma,others", [
         ("bit_flip", 0.2, 0.5, 5, np.pi / 2, None),      # 16 operators, 4 points per chunk
@@ -351,6 +357,73 @@ class TestBestResponseSearch:
             game.best_response_search(cfg, player=0, grid_points=5)
         with pytest.raises(ValueError):
             game.best_response_search(cfg, player=1, grid_points=1)
+
+    def test_corrupted_form_falls_back_to_full_scan(self, monkeypatch):
+        # a form off by 1e-6 fails the candidate guard, so the search replays
+        # the whole lattice, theta-major, and still returns the exhaustive answer
+        cfg = ne_config("bit_flip", 0.2, 0.5)
+        played, play, form = [], game._play, game._payoff_form
+
+        def recorded_play(rho, moves, noise, gate):
+            played.append(moves[0])
+            return play(rho, moves, noise, gate)
+        monkeypatch.setattr(game, "_play", recorded_play)
+        clean = game.best_response_search(cfg, player=1, grid_points=5)
+        assert sum(map(len, played)) == 10 + 7  # the form probes and the candidates
+        played.clear()
+        monkeypatch.setattr(game, "_payoff_form", lambda *args: form(*args) + 1e-6)
+        found = game.best_response_search(cfg, player=1, grid_points=5)
+        lattice = np.stack([game.strategy_unitary(s) for s in lattice_points(5)])
+        assert np.array_equal(np.concatenate(played)[-len(lattice):], lattice)
+        assert found == clean == per_point_best(cfg, 1, 5)
+
+    @settings(max_examples=25, deadline=None)
+    # a flat landscape: full dephasing at p = 0.5 makes every lattice point score
+    # 1/8, so all of them are replayed and rounding alone picks the maximum
+    @example(kind="phase_flip", p=0.5, mu=0.0, gamma=np.pi / 2, player=3, grid=5,
+             others=[game.ne_strategy()] * 4)
+    @given(kind=st.sampled_from(channels.KINDS), p=unit, mu=unit,
+           gamma=st.floats(0.0, np.pi / 2), player=st.integers(1, 4),
+           grid=st.integers(3, 5), others=st.lists(triples, min_size=4, max_size=4))
+    def test_screen_is_exact(self, kind, p, mu, gamma, player, grid, others):
+        # the screened search is the exhaustive one: same triple, same payoff bits
+        spec = channels.ChannelSpec(kind, p, mu)
+        cfg = game.GameConfig(gamma=gamma, noise_pre=spec, noise_post=spec,
+                              strategies=tuple(others))
+        found = game.best_response_search(cfg, player=player, grid_points=grid)
+        assert found == per_point_best(cfg, player, grid)
+
+    def test_memory_stays_bounded(self):
+        # the lattice is scored one theta slab at a time and never listed, so a
+        # 101^3 search (1,030,301 points) stays within a few MB
+        tracemalloc.start()
+        try:
+            game.best_response_search(ne_config("phase_flip", 0.3, 0.3), player=1,
+                                      grid_points=101)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+
+def lattice_points(grid):
+    """The search lattice in its theta-major order."""
+    thetas = np.linspace(0.0, np.pi, grid).tolist()
+    phases = np.linspace(-np.pi, np.pi, grid).tolist()
+    return [game.StrategyTriple(*t) for t in itertools.product(thetas, phases, phases)]
+
+
+def per_point_best(cfg, player, grid):
+    """The first maximum of a lattice scan that plays each point through run_game."""
+    best, best_payoff = None, -1.0
+    for triple in lattice_points(grid):
+        profile = list(cfg.strategies)
+        profile[player - 1] = triple
+        _, payoffs = game.run_game(dataclasses.replace(cfg, strategies=tuple(profile)))
+        payoff = payoffs[player - 1]
+        if payoff > best_payoff:
+            best, best_payoff = triple, payoff
+    return best, best_payoff
 
 
 # The seven (vary, fixed) parameterisations of the paper's figures
@@ -459,11 +532,6 @@ class TestEvaluate:
             finally:
                 tracemalloc.stop()
         assert peak(20_001) <= 1.5 * peak(1_001)
-
-
-unit = st.floats(0.0, 1.0)
-triples = st.builds(game.StrategyTriple, st.floats(0.0, np.pi),
-                    st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi))
 
 
 class TestEvaluateProperties:
