@@ -53,12 +53,15 @@ _PAULI_PATTERNS = np.array(list(itertools.product(range(4), repeat=N_QUBITS)))
 _PAULI_STRINGS = linalg.tensor(np.stack([linalg.pauli(i) for i in range(4)])
                                [_PAULI_PATTERNS.T])
 _PAULI_STRINGS.setflags(write=False)
-# P_a P_b P_a = chi[a, b] P_b: chi = c (x) c (x) c (x) c, where c[i, j] is +1
-# if single-qubit Paulis i and j commute and -1 if they anticommute
-_PAULI_CHI = linalg.tensor([np.array([[1, 1, 1, 1], [1, 1, -1, -1],
-                                      [1, -1, 1, -1], [1, -1, -1, 1]],
-                                     dtype=float)] * N_QUBITS)
-_PAULI_CHI.setflags(write=False)
+# A Pauli string X^x Z^z (up to a phase) maps rho[i, j] to (-1)^(z.(i^j)) rho[i^x, j^x].
+# On each band rho[i, i ^ d], whose flat indices are _BANDS[:, d] (a gather that is its
+# own inverse), that is an XOR convolution along i with kernel sum_z W[x, z] (-1)^(z.d).
+# The Walsh matrix H = (-1)^(a.b) diagonalises it: the eigenvalues are column d of
+# H W H / 16. W[x, z] is the weight of pattern _XZ_ORDER[16 x + z], where I, X, Y and
+# Z set the bits (x, z) = (0, 0), (1, 0), (1, 1), (0, 1), qubit 1 the most significant
+_XZ_ORDER = np.argsort(np.array([0, 16, 17, 1])[_PAULI_PATTERNS] @ [8, 4, 2, 1])
+_BANDS = np.arange(16)[:, None] * 16 + (np.arange(16)[:, None] ^ np.arange(16))
+_WALSH = linalg.tensor([np.array([[1.0, 1.0], [1.0, -1.0]])] * N_QUBITS)
 _AD_PATTERNS = np.array(list(itertools.product(range(2), repeat=N_QUBITS)))
 
 
@@ -146,10 +149,11 @@ def channel_maps(kind: str, p: np.ndarray, mu: np.ndarray):
     """The channel at each of n (p, mu) points, as one map on (n, 16, 16) stacks.
 
     The batched counterpart of ``build_channel`` plus ``linalg.apply_kraus``.
-    A Pauli channel is diagonal in the Pauli-string basis, with eigenvalues
-    w @ chi for the Markov weights w. Amplitude damping is (1 - mu) times the
-    single-qubit pair on each qubit plus mu times the collective pair.
-    Each point is checked to be CPTP, and ValueError raised if one is not.
+    A map takes any state stack that broadcasts to (n, 16, 16). A Pauli channel
+    is diagonal in the Walsh transform of each band (see ``_BANDS``). Amplitude
+    damping is (1 - mu) times the single-qubit pair on each qubit plus mu times
+    the collective pair. Each point is checked to be CPTP, and ValueError raised
+    if one is not.
     """
     for point in zip(p.tolist(), mu.tolist()):
         ChannelSpec(kind, *point)  # the range checks of a single point
@@ -157,13 +161,11 @@ def channel_maps(kind: str, p: np.ndarray, mu: np.ndarray):
         return _damping_maps(p, mu)
     w = pauli_memory_weights(kind, p, mu)
     _check_cptp(np.maximum(np.abs(w.sum(axis=1) - 1.0), -w.min(axis=1)))
-    # Tr(P_a P_b) = 16 delta_ab normalises the coordinates
-    scale = (w @ _PAULI_CHI) / 2 ** N_QUBITS
-    basis = _PAULI_STRINGS.reshape(len(_PAULI_STRINGS), -1)  # row a: P_a flattened
+    scale = _WALSH @ w[:, _XZ_ORDER].reshape(-1, 16, 16) @ _WALSH / 16
 
     def apply(rho: np.ndarray) -> np.ndarray:
-        coords = (rho.reshape(len(rho), -1).conj() @ basis.T).conj()  # Tr(P_a rho)
-        return ((coords * scale) @ basis).reshape(rho.shape)
+        bands = _WALSH @ (scale * (_WALSH @ rho.reshape(*rho.shape[:-2], -1)[..., _BANDS]))
+        return bands.reshape(*bands.shape[:-2], -1)[..., _BANDS]
     return apply
 
 
@@ -184,6 +186,7 @@ def _damping_maps(p: np.ndarray, mu: np.ndarray):
     keep_q, decay_q = keep.reshape(qubit), (lose ** 2).reshape(qubit)
 
     def apply(rho: np.ndarray) -> np.ndarray:
+        rho = np.broadcast_to(rho, (len(p),) + rho.shape[-2:])
         product = rho.copy()
         bits = product.reshape((len(p),) + (2,) * (2 * N_QUBITS))
         for q in range(N_QUBITS):

@@ -105,9 +105,8 @@ def cmd_sweep(args) -> int:
     if args.format == "csv":
         lines = [CSV_HEADER]
         for pt in curve:
-            for k in range(4):
-                lines.append(f"{args.channel},{_fmt(pt.p)},{_fmt(pt.mu)},"
-                             f"{_fmt(pt.gamma)},{k + 1},{_fmt(pt.payoffs[k])}")
+            prefix = f"{args.channel},{_fmt(pt.p)},{_fmt(pt.mu)},{_fmt(pt.gamma)}"
+            lines += [f"{prefix},{k + 1},{_fmt(payoff)}" for k, payoff in enumerate(pt.payoffs)]
         text = "\n".join(lines) + "\n"
     else:
         rows = [{"channel": args.channel, "p": pt.p, "mu": pt.mu,

@@ -192,8 +192,9 @@ def evaluate(kind: str, p, mu, gamma, strategies=None) -> Evaluation:
 def _evaluate_chunk(kind, p, mu, gamma, moves):
     noise = channels.channel_maps(kind, p, mu)
     angles, index = np.unique(gamma, return_inverse=True)
-    gates = np.stack([entangler(g) for g in angles.tolist()])[index]
-    _, report, payoffs = _play(_pre_move_state(gates, noise), moves, noise, gates)
+    gates = np.stack([entangler(g) for g in angles.tolist()])
+    gate = gates[0] if len(angles) == 1 else gates[index]  # the noise maps broadcast one gate
+    _, report, payoffs = _play(_pre_move_state(gate, noise), moves, noise, gate)
     return payoffs, report.trace_residual, report.min_eigenvalue
 
 

@@ -1,4 +1,5 @@
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -334,6 +335,20 @@ class TestExactStacks:
                 assert np.array_equal(got, expected), (kind, p, mu)
 
 
+@pytest.fixture(scope="module")
+def pauli_signs():
+    """The 256 Pauli strings in itertools.product order, built with np.kron, and
+    the signs s[a, b] = +-1 of P_a P_b P_a+ = s[a, b] P_b."""
+    singles = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+               np.diag([1, -1])]
+    strings = np.array([reduce(np.kron, [singles[i] for i in pattern])
+                        for pattern in itertools.product(range(4), repeat=4)], dtype=complex)
+    signs = np.array([np.einsum("bij,bij->b", strings.conj(), a @ strings @ a.conj().T).real
+                      for a in strings]) / 16
+    assert np.array_equal(np.abs(signs), np.ones((256, 256)))
+    return strings, signs
+
+
 class TestChannelMaps:
     @pytest.mark.parametrize("kind", channels.KINDS)
     def test_matches_kraus_sum(self, kind):
@@ -347,6 +362,25 @@ class TestChannelMaps:
             ks = channels.build_channel(channels.ChannelSpec(kind, p[i], mu[i]))
             want = linalg.apply_kraus(states[i], ks)
             assert np.max(np.abs(got[i] - want)) < 1e-14
+
+    @pytest.mark.parametrize("kind", channels.PAULI_KINDS)
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("mu", [0.0, 0.3, 1.0])
+    def test_pauli_strings_are_eigenvectors(self, kind, p, mu, pauli_signs):
+        # P_b -> sum_a w_a P_a P_b P_a+ = lambda_b P_b with lambda_b = sum_a w_a s_ab
+        strings, signs = pauli_signs
+        w = channels.pauli_memory_weights(kind, np.array([p]), np.array([mu]))[0]
+        got = channels.channel_maps(kind, np.full(256, p), np.full(256, mu))(strings)
+        assert np.max(np.abs(got - (w @ signs)[:, None, None] * strings)) < 1e-14
+
+    @pytest.mark.parametrize("kind", channels.KINDS)
+    def test_single_state_broadcasts(self, kind):
+        noise = channels.channel_maps(kind, np.array([0.0, 0.3, 1.0]),
+                                      np.array([0.7, 0.3, 1.0]))
+        state = random_density(np.random.default_rng(11))
+        got = noise(state)
+        assert got.shape == (3, 16, 16)
+        assert np.max(np.abs(got - noise(np.stack([state] * 3)))) <= 1e-15
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match=r"mu must be in \[0, 1\], got 1.5"):

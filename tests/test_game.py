@@ -483,6 +483,25 @@ class TestEvaluate:
             np.linspace(0, np.pi / 2, 3), indexing="ij"))
         assert_matches_run_game("phase_flip", p, mu, gamma)
 
+    @pytest.mark.parametrize("kind", channels.KINDS)
+    @pytest.mark.parametrize("gamma, gate_shape", [
+        ([np.pi / 3] * 5, (16, 16)),
+        ([0.0, np.pi / 2, np.pi / 5, np.pi / 2, 0.0], (5, 16, 16)),
+    ], ids=["single-gamma", "mixed-gamma"])
+    def test_gate_per_chunk(self, kind, gamma, gate_shape, monkeypatch):
+        # a chunk with one gamma plays one 16x16 gate, which the noise maps
+        # broadcast; a chunk with several plays one gate per point
+        shapes, play = [], game._play
+
+        def recorded_play(rho, moves, noise, gate):
+            shapes.append(gate.shape)
+            return play(rho, moves, noise, gate)
+        monkeypatch.setattr(game, "_play", recorded_play)
+        profile = ((0.3, 0.2, -1.0), (1.0, -0.5, 0.4), game.ne_strategy(), (2.5, 1.2, 0.1))
+        p, mu = np.linspace(0.0, 1.0, 5), np.array([0.0, 0.3, 0.5, 0.7, 1.0])
+        assert_matches_run_game(kind, p, mu, np.array(gamma), profile)
+        assert shapes[0] == gate_shape
+
     def test_scalars_broadcast(self):
         result = game.evaluate("bit_flip", [0.1, 0.2], 0.5, np.pi / 2)
         assert result.payoffs.shape == (2, 4)
