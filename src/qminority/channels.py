@@ -18,9 +18,11 @@ import numpy as np
 from . import linalg
 from .linalg import KrausSet
 
-KINDS = ("amplitude_damping", "depolarizing", "bit_flip", "phase_flip",
-         "bit_phase_flip")
-PAULI_KINDS = ("depolarizing", "bit_flip", "phase_flip", "bit_phase_flip")
+# Single-qubit mixture (alpha_I, alpha_x, alpha_y, alpha_z) = (1, 0, 0, 0) + p * slope
+_MIXTURE_SLOPES = {"depolarizing": (-0.75, 0.25, 0.25, 0.25), "bit_flip": (-1.0, 1.0, 0.0, 0.0),
+                   "phase_flip": (-1.0, 0.0, 0.0, 1.0), "bit_phase_flip": (-1.0, 0.0, 1.0, 0.0)}
+PAULI_KINDS = tuple(_MIXTURE_SLOPES)
+KINDS = ("amplitude_damping",) + PAULI_KINDS
 
 N_QUBITS = 4
 
@@ -65,37 +67,36 @@ _WALSH = linalg.tensor([np.array([[1.0, 1.0], [1.0, -1.0]])] * N_QUBITS)
 _AD_PATTERNS = np.array(list(itertools.product(range(2), repeat=N_QUBITS)))
 
 
-def pauli_prob_vector(kind: str, p: float) -> tuple[float, float, float, float]:
-    """Mixture weights (alpha_I, alpha_x, alpha_y, alpha_z) at strength p."""
+def _check_points(kind: str, p: np.ndarray, mu: np.ndarray) -> None:
+    """ChannelSpec's checks on n points: on the first failing one, or (0, 0)."""
+    i = np.flatnonzero(~((p >= 0.0) & (p <= 1.0) & (mu >= 0.0) & (mu <= 1.0)))[:1]
+    ChannelSpec(kind, *((p[i].item(), mu[i].item()) if len(i) else (0.0, 0.0)))
+
+
+def _mixture(kind: str, p, mu) -> np.ndarray:
+    """Mixture weights at strength p, on a new last axis, once (kind, p, mu) pass."""
     if kind == "amplitude_damping":
         raise ValueError("amplitude_damping is not a Pauli mixture channel")
-    if kind not in PAULI_KINDS:
-        raise ValueError(f"unknown channel kind {kind!r}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if kind == "bit_flip":
-        return (1.0 - p, p, 0.0, 0.0)
-    if kind == "bit_phase_flip":
-        return (1.0 - p, 0.0, p, 0.0)
-    if kind == "phase_flip":
-        return (1.0 - p, 0.0, 0.0, p)
-    return (1.0 - 0.75 * p, 0.25 * p, 0.25 * p, 0.25 * p)
+    _check_points(kind, np.atleast_1d(p), np.atleast_1d(mu))
+    return (1.0, 0.0, 0.0, 0.0) + np.multiply.outer(p, _MIXTURE_SLOPES[kind])
+
+
+def pauli_prob_vector(kind: str, p: float) -> tuple[float, float, float, float]:
+    """Mixture weights (alpha_I, alpha_x, alpha_y, alpha_z) at strength p."""
+    return tuple(_mixture(kind, p, 0.0).tolist())
 
 
 def pauli_memory_weights(kind: str, p: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """(n, 256) Markov weights of the error patterns at n (p, mu) points.
 
-    The error pattern (i1, i2, i3, i4) is drawn by seeding qubit 4 from the
-    mixture weights and stepping qubit by qubit: with probability mu the
-    next qubit repeats the previous error index, otherwise it draws fresh.
+    Qubit 4 draws its error from alpha and each earlier qubit repeats the next
+    one's with probability mu, else draws fresh: pattern (i1, i2, i3, i4) weighs
+    alpha[i4] T[i1, i2] T[i2, i3] T[i3, i4], T[i, j] = (1 - mu) alpha[i] + mu [i = j].
     """
-    alpha = np.array([pauli_prob_vector(kind, x) for x in p])[:, _PAULI_PATTERNS]
-    w = alpha[..., -1]
-    for m in range(N_QUBITS - 1):
-        same = _PAULI_PATTERNS[:, m] == _PAULI_PATTERNS[:, m + 1]
-        w = w * ((1.0 - mu)[:, None] * alpha[..., m]
-                 + np.where(same, mu[:, None], 0.0))
-    return w
+    alpha = _mixture(kind, p, mu)
+    t = (1.0 - mu)[:, None, None] * alpha[:, :, None] + mu[:, None, None] * np.eye(4)
+    w = alpha[:, None, None, None] * t[..., None, None] * t[:, None, ..., None] * t[:, None, None]
+    return w.reshape(len(p), 256)
 
 
 def pauli_memory_kraus(kind: str, p: float, mu: float) -> KrausSet:
@@ -112,6 +113,7 @@ def pauli_memory_kraus(kind: str, p: float, mu: float) -> KrausSet:
 def ad_uncorrelated_kraus(p: float) -> np.ndarray:
     """(m, 16, 16) tensor products of the single-qubit damping pair, zero
     products dropped."""
+    ChannelSpec("amplitude_damping", p, 0.0)  # the p check
     a0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - p)]], dtype=complex)
     a1 = np.array([[0.0, np.sqrt(p)], [0.0, 0.0]], dtype=complex)
     stack = linalg.tensor(np.stack([a0, a1])[_AD_PATTERNS.T])
@@ -126,6 +128,7 @@ def ad_correlated_kraus(p: float) -> np.ndarray:
     and the second transfers it to |1..1>; every state orthogonal to |0..0>
     passes through untouched.
     """
+    ChannelSpec("amplitude_damping", p, 0.0)  # the p check
     dim = 2 ** N_QUBITS
     chi = np.arcsin(np.sqrt(p))
     pair = np.zeros((2, dim, dim), dtype=complex)
@@ -155,11 +158,10 @@ def channel_maps(kind: str, p: np.ndarray, mu: np.ndarray):
     the collective pair. Each point is checked to be CPTP, and ValueError raised
     if one is not.
     """
-    for point in zip(p.tolist(), mu.tolist()):
-        ChannelSpec(kind, *point)  # the range checks of a single point
     if kind == "amplitude_damping":
+        _check_points(kind, p, mu)
         return _damping_maps(p, mu)
-    w = pauli_memory_weights(kind, p, mu)
+    w = pauli_memory_weights(kind, p, mu)  # checks the kind and every point
     _check_cptp(np.maximum(np.abs(w.sum(axis=1) - 1.0), -w.min(axis=1)))
     scale = _WALSH @ w[:, _XZ_ORDER].reshape(-1, 16, 16) @ _WALSH / 16
 

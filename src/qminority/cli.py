@@ -16,7 +16,7 @@ import tempfile
 
 import numpy as np
 
-from . import channels, formulas, game
+from . import channels, formulas, game, linalg
 
 CSV_HEADER = "channel,p,mu,gamma,player,payoff"
 COMPARE_HEADER = "channel,p,mu,gamma,formula,simulated,difference"
@@ -134,7 +134,7 @@ def _validate_checks(inject_broken: bool):
                     ks = channels.KrausSet(stack)
                     tampered = False
                 worst = max(worst, channels.verify_completeness(ks))
-    checks.append(("channel completeness", worst <= 1e-10,
+    checks.append(("channel completeness", worst <= linalg.COMPLETENESS_TOL,
                    f"max residual {worst:.3e}"))
 
     worst_trace, worst_eig = 0.0, 0.0
@@ -148,7 +148,7 @@ def _validate_checks(inject_broken: bool):
         hi = max(hi, result.payoffs.max())
     checks.append(("final-state trace", worst_trace <= 1e-10,
                    f"max residual {worst_trace:.3e}"))
-    checks.append(("final-state positivity", worst_eig >= -1e-10,
+    checks.append(("final-state positivity", worst_eig >= linalg.EIGENVALUE_FLOOR,
                    f"min eigenvalue {worst_eig:.3e}"))
     checks.append(("payoff bounds", lo >= 0.0 and hi <= 1.0,
                    f"range [{lo:.6f}, {hi:.6f}]"))

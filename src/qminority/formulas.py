@@ -108,11 +108,15 @@ _FORMS = {
 }
 
 
-def formula_payoff(kind: str, p: float, mu: float, gamma: float) -> float:
-    """Reference curve value for one channel at one operating point."""
+def _check(kind: str, p: float, mu: float, gamma: float) -> None:
     channels.ChannelSpec(kind, p, mu)  # the kind, p and mu checks of one channel
     if not 0.0 <= gamma <= np.pi / 2:
         raise ValueError(f"gamma must be in [0, pi/2], got {gamma}")
+
+
+def formula_payoff(kind: str, p: float, mu: float, gamma: float) -> float:
+    """Reference curve value for one channel at one operating point."""
+    _check(kind, p, mu, gamma)
     return float(_FORMS[kind](p, mu, gamma))
 
 
@@ -144,11 +148,12 @@ def compare(kind: str, grid: tuple[int, int], gamma: float) -> DiscrepancyReport
     p_points, mu_points = grid
     if p_points < 2 or mu_points < 2:
         raise ValueError(f"grid must be at least 2x2, got {grid}")
+    _check(kind, 0.0, 0.0, gamma)  # the grid lies in [0, 1] x [0, 1]
     tolerance = PF_TOLERANCE if kind == "phase_flip" else DEFAULT_TOLERANCE
     cells = [(p, mu) for p in np.linspace(0.0, 1.0, p_points).tolist()
              for mu in np.linspace(0.0, 1.0, mu_points).tolist()]
-    expected = [formula_payoff(kind, p, mu, gamma) for p, mu in cells]
     p, mu = np.array(cells).T
+    expected = _FORMS[kind](p, mu, gamma).tolist()
     simulated = game.evaluate(kind, p, mu, gamma).payoffs[:, 0].tolist()
     points = [ComparisonPoint(p, mu, f, s, abs(f - s))
               for (p, mu), f, s in zip(cells, expected, simulated)]

@@ -234,6 +234,17 @@ class TestChannelSpec:
         b = channels.ChannelSpec("bit_flip", 0.5, 0.25)
         assert a == b and hash(a) == hash(b)
 
+    @pytest.mark.parametrize("build,args,message", [
+        (channels.pauli_memory_kraus, ("bit_flip", 0.3, -0.2), r"mu must be in \[0, 1\], got -0.2"),
+        (channels.pauli_memory_kraus, ("depolarizing", 0.3, 1.2), r"mu must be in \[0, 1\], got 1.2"),
+        (channels.ad_uncorrelated_kraus, (1.5,), r"p must be in \[0, 1\], got 1.5"),
+        (channels.ad_correlated_kraus, (1.5,), r"p must be in \[0, 1\], got 1.5"),
+    ], ids=["pauli-mu-below", "pauli-mu-above", "ad-uncorrelated", "ad-correlated"])
+    def test_constructors_reject_out_of_range(self, build, args, message):
+        # the public Kraus constructors apply the same checks as a spec
+        with pytest.raises(ValueError, match=message):
+            build(*args)
+
 
 class TestBuildChannel:
     @pytest.mark.parametrize("kind", channels.KINDS)
@@ -292,13 +303,19 @@ _STRINGS = {idx: np.kron(np.kron(np.kron(_PAULIS[idx[0]], _PAULIS[idx[1]]),
 EXACT_GRID = [float(x) for x in np.linspace(0.0, 1.0, 11)]
 
 
+def _chain_weight(alpha, mu, idx):
+    # alpha[i] and mu are scalars, or arrays over points
+    w = alpha[idx[3]]
+    for m in range(3):
+        w = w * ((1.0 - mu) * alpha[idx[m]] + (mu if idx[m] == idx[m + 1] else 0.0))
+    return w
+
+
 def _reference_pauli_stack(kind, p, mu):
     alpha = channels.pauli_prob_vector(kind, p)
     ops = []
     for idx in _PATTERNS:
-        w = alpha[idx[3]]
-        for m in range(3):
-            w *= (1.0 - mu) * alpha[idx[m]] + (mu if idx[m] == idx[m + 1] else 0.0)
+        w = _chain_weight(alpha, mu, idx)
         if w >= channels.PRUNE_EPS:
             ops.append(np.sqrt(w) * _STRINGS[idx])
     return np.stack(ops)
@@ -333,6 +350,18 @@ class TestExactStacks:
                 got = channels.build_channel(channels.ChannelSpec(kind, p, mu)).stack
                 assert got.shape == expected.shape, (kind, p, mu)
                 assert np.array_equal(got, expected), (kind, p, mu)
+
+    @pytest.mark.parametrize("kind", channels.PAULI_KINDS)
+    @pytest.mark.parametrize("grid", ["sweep", "random"])
+    def test_weights_match_python_chain(self, kind, grid):
+        # the transfer-matrix product against the chain, pattern by pattern
+        if grid == "sweep":
+            p, mu = np.linspace(0.0, 1.0, 101), np.linspace(1.0, 0.0, 101)
+        else:
+            p, mu = np.random.default_rng(16).random((2, 1000))
+        alpha = np.array([channels.pauli_prob_vector(kind, x) for x in p.tolist()]).T
+        expected = np.stack([_chain_weight(alpha, mu, idx) for idx in _PATTERNS], axis=1)
+        assert channels.pauli_memory_weights(kind, p, mu).tobytes() == expected.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -382,9 +411,17 @@ class TestChannelMaps:
         assert got.shape == (3, 16, 16)
         assert np.max(np.abs(got - noise(np.stack([state] * 3)))) <= 1e-15
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match=r"mu must be in \[0, 1\], got 1.5"):
-            channels.channel_maps("bit_flip", np.array([0.1, 0.2]), np.array([0.1, 1.5]))
+    @pytest.mark.parametrize("kind", ["bit_flip", "amplitude_damping"])
+    @pytest.mark.parametrize("p,mu,message", [
+        ([0.1, 0.2], [0.1, 1.5], r"mu must be in \[0, 1\], got 1.5"),
+        ([0.1, 1.5], [-0.5, 0.2], r"mu must be in \[0, 1\], got -0.5"),
+        ([1.5], [-0.5], r"p must be in \[0, 1\], got 1.5"),
+        ([0.2, np.nan], [0.3, 0.3], r"p must be in \[0, 1\], got nan"),
+        ([0.2, 0.3], [0.3, np.nan], r"mu must be in \[0, 1\], got nan"),
+    ], ids=["bad-mu", "earlier-point-wins", "p-before-mu", "nan-p", "nan-mu"])
+    def test_rejects_out_of_range(self, kind, p, mu, message):
+        with pytest.raises(ValueError, match=message):
+            channels.channel_maps(kind, np.array(p), np.array(mu))
 
     def test_rejects_non_cptp_weights(self, monkeypatch):
         weights = channels.pauli_memory_weights

@@ -139,6 +139,20 @@ class TestCompare:
         with pytest.raises(ValueError):
             formulas.compare("phase_flip", (5, 0), G2)
 
+    def test_kind_and_gamma_validation(self):
+        with pytest.raises(ValueError, match=r"^unknown channel kind 'dephasing'$"):
+            formulas.compare("dephasing", (3, 3), G2)
+        with pytest.raises(ValueError, match=r"^gamma must be in \[0, pi/2\], got 2\.0$"):
+            formulas.compare("bit_flip", (3, 3), 2.0)
+
+    @pytest.mark.parametrize("kind", channels.KINDS)
+    @pytest.mark.parametrize("gamma", [0.0, np.pi / 4, G2])
+    def test_formula_column_matches_formula_payoff(self, kind, gamma):
+        # compare evaluates the closed form on the whole grid at once
+        for pt in formulas.compare(kind, (11, 5), gamma).points:
+            want = formulas.formula_payoff(kind, pt.p, pt.mu, gamma)
+            assert pt.formula == pytest.approx(want, rel=0, abs=1e-13)
+
 
 class TestOverlapCheck:
     def test_records_disagreement(self):
