@@ -224,14 +224,17 @@ def payoff_curve(kind: str, vary: str, fixed: dict, points: int = 101) -> list:
 
 
 # best_response_search replays on the Kraus path every lattice point whose
-# quadratic-form score is within this margin of the best score. The form and
+# affine score c + b.m is within this margin of the best score. The score and
 # the Kraus path differ by rounding alone (under 1e-15 on random profiles);
 # any margin of at least twice that gap keeps every true maximiser among the
 # replayed points, and the search checks the gap at each of them
 _SCREEN_MARGIN = 1e-9
 
-# I, iX, iY and iZ: the moves at the four unit quaternions q
-_QUATERNION_MOVES = np.stack([linalg.pauli(0)] + [1j * linalg.pauli(k) for k in (1, 2, 3)])
+# I, iX, (I + iY)/sqrt(2) and (I - iX)/sqrt(2): the moves u at which the Bloch
+# vector m of u+Zu is +Z, -Z, +X and +Y
+_PROBE_MOVES = np.stack([linalg.pauli(0), 1j * linalg.pauli(1),
+                         (linalg.pauli(0) + 1j * linalg.pauli(2)) / np.sqrt(2),
+                         (linalg.pauli(0) - 1j * linalg.pauli(1)) / np.sqrt(2)])
 
 
 def _play_slot(rho, moves: list, player: int, stack: np.ndarray, noise, gate) -> np.ndarray:
@@ -248,28 +251,23 @@ def _play_slot(rho, moves: list, player: int, stack: np.ndarray, noise, gate) ->
 
 
 def _payoff_form(rho, moves: list, player: int, noise, gate) -> np.ndarray:
-    """The real symmetric 4x4 A with payoff q^T A q for the move q0 I + i(q1 X + q2 Y + q3 Z).
+    """(c, b_x, b_y, b_z), with payoff c + b.m for the move u, m the Bloch vector of u+Zu.
 
-    The four unit quaternions give the diagonal, and the six (e_i + e_j)/sqrt(2)
-    give the off-diagonal entries by polarisation: ten plays in one stack.
-    """
-    i, j = np.triu_indices(4, 1)
-    pairs = (_QUATERNION_MOVES[i] + _QUATERNION_MOVES[j]) / np.sqrt(2)
-    values = _play_slot(rho, moves, player, np.concatenate([_QUATERNION_MOVES, pairs]),
-                        noise, gate)
-    form = np.diag(values[:4])
-    form[i, j] = form[j, i] = values[4:] - (values[i] + values[j]) / 2
-    return form
+    J+ keeps each payoff projector (the payoff is symmetric under bit complement) and
+    the second noise map keeps diagonal observables diagonal, so the observable the
+    move sees commutes with Z on its qubit: four plays fix c and b."""
+    up, down, x, y = _play_slot(rho, moves, player, _PROBE_MOVES, noise, gate)
+    c = (up + down) / 2
+    return np.array([c, x - c, y - c, (up - down) / 2])
 
 
 def _slab_scores(form: np.ndarray, theta: float, phases: np.ndarray) -> np.ndarray:
-    """q^T A q at the lattice points of one theta slab, alpha-major then beta."""
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    cos, sin = np.cos(phases), np.sin(phases)
-    # q = (c cos alpha, s cos beta, -s sin beta, c sin alpha) over (alpha, beta)
-    q = np.stack(np.broadcast_arrays(c * cos[:, None], s * cos, -s * sin, c * sin[:, None]),
-                 axis=-1)
-    return np.einsum("...i,ij,...j->...", q, form, q).ravel()
+    """c + b.m at the lattice points of one theta slab, alpha-major then beta."""
+    c, b_x, b_y, b_z = form
+    # m = (sin theta sin(alpha - beta), -sin theta cos(alpha - beta), cos theta)
+    delta = np.subtract.outer(phases, phases)
+    return (c + b_z * np.cos(theta)
+            + np.sin(theta) * (b_x * np.sin(delta) - b_y * np.cos(delta))).ravel()
 
 
 def best_response_search(config: GameConfig, player: int, grid_points: int):
@@ -279,14 +277,15 @@ def best_response_search(config: GameConfig, player: int, grid_points: int):
     [0, pi] and both phases over [-pi, pi], endpoints included. Ties keep
     the earliest lattice point, theta-major, then alpha, then beta.
 
-    The payoff is a quadratic form q^T A q in the move's unit quaternion q,
-    and ten plays on the Kraus path build A. The form scores the lattice one
-    theta slab at a time, so memory grows with grid_points**2: a first pass
-    finds the best score, and a second replays on the Kraus path, slab by
-    slab, only the points within ``_SCREEN_MARGIN`` of it. The first maximum
-    of the replayed payoffs wins. If any replayed payoff differs from its
-    score by more than a quarter of the margin, the whole lattice is replayed
-    instead, so the answer is always that of the exhaustive scan.
+    The payoff is c + b.m, affine in the Bloch vector m of u+Zu for the move
+    u, so it depends on theta and alpha - beta alone; four plays on the Kraus
+    path fix c and b. It scores the lattice one theta slab at a time, so
+    memory grows with grid_points**2: a first pass finds the best score, and
+    a second replays on the Kraus path, slab by slab, only the points within
+    ``_SCREEN_MARGIN`` of it. The first maximum of the replayed payoffs wins.
+    If any replayed payoff differs from its score by more than a quarter of
+    the margin, the whole lattice is replayed instead, so the answer is
+    always that of the exhaustive scan.
     """
     if player not in (1, 2, 3, 4):
         raise ValueError(f"player must be 1..4, got {player}")

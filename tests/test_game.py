@@ -1,6 +1,9 @@
 import dataclasses
+import gzip
 import itertools
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,11 +304,11 @@ class TestBestResponseSearch:
         # both Kraus sets and the pre-move state are shared by the search; only
         # the second noise stage runs, once per chunk of played moves. With 16
         # bit-flip operators a chunk is (CHUNK_POINTS // 4) // 16 = 4 moves, so
-        # the pre-move state, the 10 form probes and the 7 screened candidates,
-        # all in the theta = pi/2 slab, make 1 + ceil(10 / 4) + ceil(7 / 4) = 6
+        # the pre-move state, the 4 form probes and the 7 screened candidates,
+        # all in the theta = pi/2 slab, make 1 + ceil(4 / 4) + ceil(7 / 4) = 4
         game.best_response_search(ne_config("bit_flip", 0.2, 0.5), player=1,
                                   grid_points=5)
-        assert construction_counts == {"build": 2, "apply": 6}
+        assert construction_counts == {"build": 2, "apply": 4}
 
     @pytest.mark.parametrize("kind,p,mu,grid,gamma,others", [
         ("bit_flip", 0.2, 0.5, 5, np.pi / 2, None),      # 16 operators, 4 points per chunk
@@ -359,8 +362,10 @@ class TestBestResponseSearch:
             game.best_response_search(cfg, player=1, grid_points=1)
 
     def test_corrupted_form_falls_back_to_full_scan(self, monkeypatch):
-        # a form off by 1e-6 fails the candidate guard, so the search replays
-        # the whole lattice, theta-major, and still returns the exhaustive answer
+        # a form whose c is off by 1e-6 fails the candidate guard, so the search
+        # replays the whole lattice, theta-major, and still returns the exhaustive
+        # answer. (Shifting c and b alike would cancel here: the optimum has
+        # m = (0, -1, 0), so c + b.m would not move.)
         cfg = ne_config("bit_flip", 0.2, 0.5)
         played, play, form = [], game._play, game._payoff_form
 
@@ -369,9 +374,10 @@ class TestBestResponseSearch:
             return play(rho, moves, noise, gate)
         monkeypatch.setattr(game, "_play", recorded_play)
         clean = game.best_response_search(cfg, player=1, grid_points=5)
-        assert sum(map(len, played)) == 10 + 7  # the form probes and the candidates
+        assert sum(map(len, played)) == 4 + 7  # the form probes and the candidates
         played.clear()
-        monkeypatch.setattr(game, "_payoff_form", lambda *args: form(*args) + 1e-6)
+        monkeypatch.setattr(game, "_payoff_form",
+                            lambda *args: form(*args) + [1e-6, 0, 0, 0])
         found = game.best_response_search(cfg, player=1, grid_points=5)
         lattice = np.stack([game.strategy_unitary(s) for s in lattice_points(5)])
         assert np.array_equal(np.concatenate(played)[-len(lattice):], lattice)
@@ -425,6 +431,83 @@ def per_point_best(cfg, player, grid):
             best, best_payoff = triple, payoff
     return best, best_payoff
 
+
+def slot_player(kind, p, mu, gamma, player, others):
+    """The searched slot as best_response_search sets it up: its _play_slot for
+    a stack of moves, and its form (c, b_x, b_y, b_z)."""
+    spec = channels.ChannelSpec(kind, p, mu)
+    gate = game.entangler(gamma)
+    noise = channels.build_channel(spec)
+    rho = game._pre_move_state(gate, noise)
+    moves = [game.strategy_unitary(s) for s in others]
+    form = game._payoff_form(rho, moves, player, noise, gate)
+    return lambda stack: game._play_slot(rho, moves, player, stack, noise, gate), form
+
+
+def bloch_of_z(u):
+    """The Bloch vector m of u+Zu for an (n, 2, 2) stack of moves."""
+    zu = u.conj().swapaxes(-1, -2) @ linalg.pauli(3) @ u
+    return np.stack([np.trace(zu @ linalg.pauli(k), axis1=-2, axis2=-1).real / 2
+                     for k in (1, 2, 3)], axis=-1)
+
+
+def random_triples(rng, n):
+    return [game.StrategyTriple(rng.uniform(0.0, np.pi), *rng.uniform(-np.pi, np.pi, 2))
+            for _ in range(n)]
+
+
+def random_slot(kind, seed):
+    """A random operating point, searched player and profile, and 6 random moves."""
+    rng = np.random.default_rng(seed)
+    play, form = slot_player(kind, rng.uniform(), rng.uniform(), rng.uniform(0.0, np.pi / 2),
+                             int(rng.integers(1, 5)), random_triples(rng, 4))
+    stack = np.stack([game.strategy_unitary(s) for s in random_triples(rng, 6)])
+    return play, form, stack, rng
+
+
+# Every best-response call the benchmark can make, with the seed code's outputs
+RECORDED_BEST_RESPONSES = {
+    key: json.loads(call["out"])
+    for kind in ("ad", "dep")
+    for key, call in json.loads(gzip.decompress(
+        (Path(__file__).resolve().parents[1] / "bench" / "reference"
+         / f"best-response-{kind}.json.gz").read_bytes())).items()}
+
+_CHANNEL_NAMES = {"ad": "amplitude_damping", "dep": "depolarizing"}
+
+
+class TestPayoffForm:
+    """The searched payoff is c + b.m, m the Bloch vector of u+Zu for the move u."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", channels.KINDS)
+    def test_play_ignores_z_rotation_on_the_left(self, kind, seed):
+        play, _, stack, rng = random_slot(kind, seed)
+        t = rng.uniform(-np.pi, np.pi)
+        rotated = np.diag([np.exp(1j * t), np.exp(-1j * t)]) @ stack
+        assert np.abs(play(rotated) - play(stack)).max() <= 1e-15
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", channels.KINDS)
+    def test_affine_in_bloch_vector(self, kind, seed):
+        play, form, stack, _ = random_slot(kind, seed)
+        assert np.abs(form[0] + bloch_of_z(stack) @ form[1:] - play(stack)).max() <= 1e-15
+
+    @pytest.mark.parametrize("key", sorted(RECORDED_BEST_RESPONSES))
+    def test_bounds_recorded_best_response(self, key):
+        # c + |b| is the best payoff over all of SU(2): at least the recorded
+        # lattice maximum, and reached by a move whose m is b/|b| (beta = 0)
+        args = dict(zip(key.split()[1::2], key.split()[2::2]))
+        assert args["--gamma"] == "pi/2" and "--player" not in args
+        play, form = slot_player(_CHANNEL_NAMES[args["--channel"]], float(args["--p"]),
+                                 float(args["--mu"]), np.pi / 2, 1, [game.ne_strategy()] * 4)
+        c, b = form[0], form[1:]
+        top = c + np.linalg.norm(b)
+        assert top >= RECORDED_BEST_RESPONSES[key]["payoff"] - 1e-15
+        m = b / np.linalg.norm(b)
+        move = game.strategy_unitary(game.StrategyTriple(
+            np.arccos(np.clip(m[2], -1.0, 1.0)), np.arctan2(m[0], -m[1]), 0.0))
+        assert abs(play(move[None])[0] - top) <= 1e-15
 
 # The seven (vary, fixed) parameterisations of the paper's figures
 FIGURE_SWEEPS = (
