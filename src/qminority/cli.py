@@ -137,15 +137,11 @@ def _validate_checks(inject_broken: bool):
     checks.append(("channel completeness", worst <= linalg.COMPLETENESS_TOL,
                    f"max residual {worst:.3e}"))
 
-    worst_trace, worst_eig = 0.0, 0.0
-    lo, hi = 0.0, 1.0
     p, mu = np.repeat((0.0, 0.5, 1.0), 3), np.tile((0.0, 0.5, 1.0), 3)
-    for kind in channels.KINDS:
-        result = game.evaluate(kind, p, mu, np.pi / 2)
-        worst_trace = max(worst_trace, result.trace_residual.max())
-        worst_eig = min(worst_eig, result.min_eigenvalue.min())
-        lo = min(lo, result.payoffs.min())
-        hi = max(hi, result.payoffs.max())
+    runs = [game.evaluate(kind, p, mu, np.pi / 2) for kind in channels.KINDS]
+    payoffs, trace, eig = (np.concatenate(column) for column in zip(*runs))
+    worst_trace, worst_eig = trace.max(), eig.min()
+    lo, hi = payoffs.min(), payoffs.max()
     checks.append(("final-state trace", worst_trace <= 1e-10,
                    f"max residual {worst_trace:.3e}"))
     checks.append(("final-state positivity", worst_eig >= linalg.EIGENVALUE_FLOOR,

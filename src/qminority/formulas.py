@@ -117,7 +117,8 @@ def _check(kind: str, p: float, mu: float, gamma: float) -> None:
 def formula_payoff(kind: str, p: float, mu: float, gamma: float) -> float:
     """Reference curve value for one channel at one operating point."""
     _check(kind, p, mu, gamma)
-    return float(_FORMS[kind](p, mu, gamma))
+    # on arrays, as in compare: numpy's array ** can round unlike Python's
+    return float(_FORMS[kind](np.array([p]), np.array([mu]), gamma)[0])
 
 
 class ComparisonPoint(NamedTuple):

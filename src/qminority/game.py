@@ -149,14 +149,21 @@ def _play(rho: np.ndarray, moves: list, noise, gate: np.ndarray):
     return rho, report, np.minimum(probs @ _PAYOFF_TABLE.T, 1.0)
 
 
-def run_game(config: GameConfig) -> GameResult:
-    """Run the protocol once and score all four players."""
+def _kraus_setup(config: GameConfig):
+    """The gate, pre-move state, second Kraus set and moves of a Kraus-path run;
+    the second set is the first one again when both stages match."""
     gate = entangler(config.gamma)
     pre = channels.build_channel(config.noise_pre)
     post = (pre if config.noise_post == config.noise_pre
             else channels.build_channel(config.noise_post))
     moves = [strategy_unitary(s) for s in config.strategies]
-    rho, _, payoffs = _play(_pre_move_state(gate, pre), moves, post, gate)
+    return gate, _pre_move_state(gate, pre), post, moves
+
+
+def run_game(config: GameConfig) -> GameResult:
+    """Run the protocol once and score all four players."""
+    gate, rho, post, moves = _kraus_setup(config)
+    rho, _, payoffs = _play(rho, moves, post, gate)
     return GameResult(rho, tuple(payoffs.tolist()))
 
 
@@ -183,19 +190,14 @@ def evaluate(kind: str, p, mu, gamma, strategies=None) -> Evaluation:
     result = Evaluation(np.empty((len(p), 4)), np.empty(len(p)), np.empty(len(p)))
     for start in range(0, len(p), CHUNK_POINTS):
         part = slice(start, start + CHUNK_POINTS)
-        values = _evaluate_chunk(kind, p[part], mu[part], gamma[part], moves)
-        for out, value in zip(result, values):
+        noise = channels.channel_maps(kind, p[part], mu[part])
+        angles, index = np.unique(gamma[part], return_inverse=True)
+        gates = np.stack([entangler(g) for g in angles.tolist()])
+        gate = gates[0] if len(angles) == 1 else gates[index]  # the noise maps broadcast one gate
+        _, report, payoffs = _play(_pre_move_state(gate, noise), moves, noise, gate)
+        for out, value in zip(result, (payoffs, report.trace_residual, report.min_eigenvalue)):
             out[part] = value
     return result
-
-
-def _evaluate_chunk(kind, p, mu, gamma, moves):
-    noise = channels.channel_maps(kind, p, mu)
-    angles, index = np.unique(gamma, return_inverse=True)
-    gates = np.stack([entangler(g) for g in angles.tolist()])
-    gate = gates[0] if len(angles) == 1 else gates[index]  # the noise maps broadcast one gate
-    _, report, payoffs = _play(_pre_move_state(gate, noise), moves, noise, gate)
-    return payoffs, report.trace_residual, report.min_eigenvalue
 
 
 _AXES = ("p", "mu", "gamma")
@@ -291,19 +293,14 @@ def best_response_search(config: GameConfig, player: int, grid_points: int):
         raise ValueError(f"player must be 1..4, got {player}")
     if grid_points < 2:
         raise ValueError(f"need at least 2 grid points, got {grid_points}")
-    gate = entangler(config.gamma)
-    # the first Kraus set is dropped once it has made the shared pre-move state
-    rho = _pre_move_state(gate, channels.build_channel(config.noise_pre))
-    post = channels.build_channel(config.noise_post)
-    moves = [strategy_unitary(s) for s in config.strategies]
+    gate, rho, post, moves = _kraus_setup(config)
     form = _payoff_form(rho, moves, player, post, gate)
     thetas = np.linspace(0.0, np.pi, grid_points).tolist()
     phases = np.linspace(-np.pi, np.pi, grid_points)
     floor = max(_slab_scores(form, theta, phases).max() for theta in thetas) - _SCREEN_MARGIN
-
-    def scan(screened: bool):
-        """Each slab's first maximum over its screened points, or over all of them;
-        None when a screened payoff strays from its score."""
+    # each slab's first maximum over its screened points, then, if a screened
+    # payoff strays from its score, over all of them
+    for screened in (True, False):
         found = []
         for theta in thetas:
             scores = _slab_scores(form, theta, phases)
@@ -316,9 +313,8 @@ def best_response_search(config: GameConfig, player: int, grid_points: int):
             stack = np.stack([strategy_unitary(s) for s in triples])
             payoffs = _play_slot(rho, moves, player, stack, post, gate)
             if screened and not np.all(np.abs(payoffs - scores[kept]) <= _SCREEN_MARGIN / 4):
-                return None
+                break
             best = int(np.argmax(payoffs))  # the first maximum: ties keep the earliest point
             found.append((triples[best], payoffs[best].item()))
-        return max(found, key=lambda point: point[1])  # ties keep the earliest slab
-
-    return scan(screened=True) or scan(screened=False)
+        else:
+            return max(found, key=lambda point: point[1])  # ties keep the earliest slab

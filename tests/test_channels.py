@@ -403,6 +403,22 @@ class TestChannelMaps:
         assert np.max(np.abs(got - (w @ signs)[:, None, None] * strings)) < 1e-14
 
     @pytest.mark.parametrize("kind", channels.KINDS)
+    @pytest.mark.parametrize("p,mu", [(0.3, 0.6), (0.0, 0.5), (1.0, 0.0), (0.6, 1.0)])
+    def test_each_xor_band_maps_to_itself(self, kind, p, mu):
+        # every Kraus operator is a bit shift times a diagonal, so a state held on
+        # the band rho[i, i ^ d] comes out with exact zeros off that band, for
+        # each of the 16 values of d
+        off_band = (np.arange(16)[:, None] ^ np.arange(16)) != np.arange(16)[:, None, None]
+        rng = np.random.default_rng(5)
+        states = np.where(off_band, 0.0,
+                          rng.normal(size=(16, 16, 16)) + 1j * rng.normal(size=(16, 16, 16)))
+        kraus = channels.build_channel(channels.ChannelSpec(kind, p, mu))
+        maps = channels.channel_maps(kind, np.full(16, p), np.full(16, mu))
+        for out in (kraus(states), maps(states)):
+            assert np.count_nonzero(out[np.logical_not(off_band)]) > 0
+            assert np.count_nonzero(out[off_band]) == 0
+
+    @pytest.mark.parametrize("kind", channels.KINDS)
     def test_single_state_broadcasts(self, kind):
         noise = channels.channel_maps(kind, np.array([0.0, 0.3, 1.0]),
                                       np.array([0.7, 0.3, 1.0]))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qminority
-from qminority import cli, linalg
+from qminority import channels, cli, game, linalg
 
 
 # Every best-response call the benchmark can make, keyed by its arguments, with
@@ -108,7 +108,6 @@ class TestSweep:
         code, out, _ = run_cli(["sweep", "--channel", "pf", "--vary", "p",
                                 "--mu", "0", "--gamma", "pi/2", "--points", "11"], capsys)
         rows = [line.split(",") for line in out.splitlines()[1:]]
-        from qminority import game
         curve = game.payoff_curve("phase_flip", "p",
                                   {"mu": 0.0, "gamma": np.pi / 2}, points=11)
         for i, pt in enumerate(curve):
@@ -183,6 +182,20 @@ class TestValidate:
         assert "FAIL" not in out
         assert out.count("PASS") >= 6
         assert "symmetry" in out
+
+    def test_details_report_the_measured_extremes(self, capsys):
+        # the positivity and bounds details print what the 3x3 grid gave, not
+        # the limits they are checked against
+        _, out, _ = run_cli(["validate"], capsys)
+        details = dict(line.split(": ", 1) for line in out.splitlines())
+        p, mu = np.repeat((0.0, 0.5, 1.0), 3), np.tile((0.0, 0.5, 1.0), 3)
+        runs = [game.evaluate(kind, p, mu, np.pi / 2) for kind in channels.KINDS]
+        payoffs = np.concatenate([run.payoffs for run in runs])
+        eig = min(run.min_eigenvalue.min() for run in runs)
+        assert details["final-state positivity"] == f"PASS (min eigenvalue {eig:.3e})"
+        assert details["payoff bounds"] == (
+            f"PASS (range [{payoffs.min():.6f}, {payoffs.max():.6f}])")
+        assert details["payoff bounds"] == "PASS (range [0.000000, 0.250000])"
 
     def test_injected_broken_channel(self, capsys):
         code, out, _ = run_cli(["validate", "--inject-broken-channel"], capsys)

@@ -100,6 +100,16 @@ class TestOtherFormulas:
         with pytest.raises(ValueError, match=r"^gamma must be in \[0, pi/2\], got 2\.0$"):
             formulas.formula_payoff("bit_flip", 0.1, 0.1, 2.0)
 
+    @pytest.mark.parametrize("kind", channels.KINDS)
+    @pytest.mark.parametrize("gamma", [0.0, np.pi / 4, G2])
+    def test_matches_the_array_path_exactly(self, kind, gamma):
+        # one point evaluates as one element of an array, bit for bit
+        p, mu = np.random.default_rng(11).random((2, 2000))
+        want = formulas._FORMS[kind](p, mu, gamma).tolist()
+        got = [formulas.formula_payoff(kind, a, b, gamma)
+               for a, b in zip(p.tolist(), mu.tolist())]
+        assert got == want
+
 
 class TestCompare:
     def test_phase_flip_consistent(self):

@@ -301,14 +301,27 @@ class TestBestResponseSearch:
         assert a == b
 
     def test_builds_and_enters_noise_once(self, construction_counts):
-        # both Kraus sets and the pre-move state are shared by the search; only
-        # the second noise stage runs, once per chunk of played moves. With 16
-        # bit-flip operators a chunk is (CHUNK_POINTS // 4) // 16 = 4 moves, so
-        # the pre-move state, the 4 form probes and the 7 screened candidates,
-        # all in the theta = pi/2 slab, make 1 + ceil(4 / 4) + ceil(7 / 4) = 4
+        # both stages match, so one Kraus set serves them both, and it and the
+        # pre-move state are shared by the search; only the second noise stage
+        # runs, once per chunk of played moves. With 16 bit-flip operators a
+        # chunk is (CHUNK_POINTS // 4) // 16 = 4 moves, so the pre-move state,
+        # the 4 form probes and the 7 screened candidates, all in the
+        # theta = pi/2 slab, make 1 + ceil(4 / 4) + ceil(7 / 4) = 4
         game.best_response_search(ne_config("bit_flip", 0.2, 0.5), player=1,
                                   grid_points=5)
-        assert construction_counts == {"build": 2, "apply": 4}
+        assert construction_counts == {"build": 1, "apply": 4}
+
+    @pytest.mark.parametrize("kind,pre,post,player", [
+        ("bit_flip", (0.2, 0.5), (0.4, 0.5), 1),
+        ("amplitude_damping", (0.3, 0.2), (0.6, 0.7), 2),
+    ])
+    def test_unequal_stages(self, kind, pre, post, player, construction_counts):
+        # each stage gets its own Kraus set, and the search stays exhaustive
+        cfg = game.GameConfig(gamma=np.pi / 2, noise_pre=channels.ChannelSpec(kind, *pre),
+                              noise_post=channels.ChannelSpec(kind, *post))
+        found = game.best_response_search(cfg, player=player, grid_points=5)
+        assert construction_counts["build"] == 2
+        assert found == per_point_best(cfg, player, 5)
 
     @pytest.mark.parametrize("kind,p,mu,grid,gamma,others", [
         ("bit_flip", 0.2, 0.5, 5, np.pi / 2, None),      # 16 operators, 4 points per chunk
