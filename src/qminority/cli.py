@@ -207,15 +207,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_best_response(args) -> int:
-    profile = [args.others] * 4
     spec = channels.ChannelSpec(args.channel, args.p, args.mu)
     cfg = game.GameConfig(gamma=args.gamma, noise_pre=spec, noise_post=spec,
-                          strategies=profile)
-    best, payoff = game.best_response_search(cfg, args.player, args.grid)
-    profile[args.player - 1] = game.ne_strategy()
-    ne_cfg = game.GameConfig(gamma=args.gamma, noise_pre=spec, noise_post=spec,
-                             strategies=profile)
-    ne_payoff = game.run_game(ne_cfg).payoffs[args.player - 1]
+                          strategies=(args.others,) * 4)
+    best, payoff, (gate, rho, post, moves) = game._best_response(cfg, args.player, args.grid)
+    # the equilibrium move in the searched slot, on the search's own Kraus-path setup
+    ne_move = game.strategy_unitary(game.ne_strategy())[None]
+    ne_payoff = game._play_slot(rho, moves, args.player, ne_move, post, gate)[0].item()
     text = json.dumps({
         "theta": best.theta,
         "alpha": best.alpha,

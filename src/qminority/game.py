@@ -289,11 +289,16 @@ def best_response_search(config: GameConfig, player: int, grid_points: int):
     the margin, the whole lattice is replayed instead, so the answer is
     always that of the exhaustive scan.
     """
+    return _best_response(config, player, grid_points)[:2]
+
+
+def _best_response(config: GameConfig, player: int, grid_points: int):
+    """best_response_search's triple and payoff, then the Kraus-path setup it searched."""
     if player not in (1, 2, 3, 4):
         raise ValueError(f"player must be 1..4, got {player}")
     if grid_points < 2:
         raise ValueError(f"need at least 2 grid points, got {grid_points}")
-    gate, rho, post, moves = _kraus_setup(config)
+    setup = gate, rho, post, moves = _kraus_setup(config)
     form = _payoff_form(rho, moves, player, post, gate)
     thetas = np.linspace(0.0, np.pi, grid_points).tolist()
     phases = np.linspace(-np.pi, np.pi, grid_points)
@@ -317,4 +322,4 @@ def best_response_search(config: GameConfig, player: int, grid_points: int):
             best = int(np.argmax(payoffs))  # the first maximum: ties keep the earliest point
             found.append((triples[best], payoffs[best].item()))
         else:
-            return max(found, key=lambda point: point[1])  # ties keep the earliest slab
+            return (*max(found, key=lambda point: point[1]), setup)  # ties keep the earliest slab

@@ -10,7 +10,7 @@ need them so callers cannot skip them by accident.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -82,10 +82,11 @@ def apply_kraus(rho: np.ndarray, kraus) -> np.ndarray:
     residual = kraus.completeness_residual
     if residual > COMPLETENESS_TOL:
         raise ValueError(f"Kraus completeness violated: residual {residual:.6g}")
-    # every A_k rho in one product, then one (d, k*d) @ (k*d, d) product per state
-    tmp = np.swapaxes(kraus.stack @ rho[..., None, :, :], -3, -2)
-    return (tmp.reshape(*rho.shape[:-1], -1)
-            @ _dagger(kraus.stack).reshape(-1, rho.shape[-1]))
+    if rho.shape[-2:] != kraus.stack.shape[1:]:
+        raise ValueError(f"state shape {rho.shape} does not fit Kraus stack {kraus.stack.shape}")
+    # every A_k rho in one product, laid out as (d, k*d), then one (d, k*d) @ (k*d, d) per state
+    left, adjoint_rows = kraus._operands
+    return (left @ rho).reshape(*rho.shape[:-1], -1) @ adjoint_rows
 
 
 def completeness_residual(stack: np.ndarray) -> float:
@@ -103,10 +104,23 @@ class KrausSet:
 
     def __init__(self, operators):
         self.stack = np.asarray(operators, dtype=complex)
-        if not len(self.stack):
+        if not self.stack.size:
             raise ValueError("empty Kraus set")
+        if self.stack.ndim != 3 or self.stack.shape[1] != self.stack.shape[2]:
+            raise ValueError(f"Kraus set must be an (n, d, d) stack, got {self.stack.shape}")
         self.stack.setflags(write=False)
         self.completeness_residual = completeness_residual(self.stack)
+
+    @cached_property
+    def _operands(self):
+        """apply_kraus's read-only operands, laid out on first use: the (d*k, d) rows
+        of every A_k, row i*k + j being row i of A_j, and the (k*d, d) rows of every A_k+."""
+        dim = self.stack.shape[-1]
+        operands = (self.stack.transpose(1, 0, 2).reshape(-1, dim),
+                    _dagger(self.stack).reshape(-1, dim))
+        for array in operands:
+            array.setflags(write=False)
+        return operands
 
     def __len__(self) -> int:
         return len(self.stack)

@@ -259,11 +259,42 @@ class TestBestResponse:
         out = tmp_path / "best.json"
         code, stdout, _ = run_cli(key.split() + ["--out", str(out)], capsys)
         assert (code, stdout) == (ref["code"], ref["stdout"])
-        got, want = json.loads(out.read_text()), json.loads(ref["out"])
-        assert [got[k] for k in ("theta", "alpha", "beta")] == [
-            want[k] for k in ("theta", "alpha", "beta")]
-        assert abs(got["payoff"] - want["payoff"]) <= 1e-12
-        assert abs(got["ne_payoff"] - want["ne_payoff"]) <= 1e-12
+        assert out.read_bytes() == ref["out"].encode()
+
+    @pytest.mark.parametrize("argv", [
+        "--channel bf --p 0.2 --mu 0.5 --gamma pi/3 --grid 7 --player 3 --others 1.0,0.5,-0.3",
+        "--channel ad --p 0.3 --mu 0.2 --gamma pi/4 --grid 9 --player 2",
+        "--channel pf --p 0.5 --mu 0 --gamma pi/2 --grid 5",  # flat landscape
+    ])
+    def test_ne_payoff_is_run_game(self, argv, capsys):
+        code, out, _ = run_cli(["best-response"] + argv.split(), capsys)
+        assert code == 0
+        args = cli.build_parser().parse_args(["best-response"] + argv.split())
+        spec = channels.ChannelSpec(args.channel, args.p, args.mu)
+        profile = [args.others] * 4
+        profile[args.player - 1] = game.ne_strategy()
+        cfg = game.GameConfig(gamma=args.gamma, noise_pre=spec, noise_post=spec,
+                              strategies=profile)
+        assert json.loads(out)["ne_payoff"] == game.run_game(cfg).payoffs[args.player - 1]
+
+    def test_builds_one_kraus_set(self, capsys, monkeypatch):
+        # the search and the equilibrium payoff share one Kraus-path setup
+        builds = []
+        build = channels.build_channel
+        monkeypatch.setattr(channels, "build_channel",
+                            lambda spec: builds.append(spec) or build(spec))
+        code, _, _ = run_cli(["best-response", "--channel", "dep", "--p", "0.3",
+                              "--mu", "0.3", "--gamma", "pi/2", "--grid", "5"], capsys)
+        assert (code, len(builds)) == (0, 1)
+
+    @pytest.mark.parametrize("flag,message", [
+        (["--player", "7"], "error: player must be 1..4, got 7\n"),
+        (["--grid", "1"], "error: need at least 2 grid points, got 1\n"),
+    ])
+    def test_bad_search_arguments(self, flag, message, capsys):
+        code, out, err = run_cli(["best-response", "--channel", "pf", "--p", "0.5",
+                                  "--mu", "0", "--gamma", "pi/2"] + flag, capsys)
+        assert (code, out, err) == (2, "", message)
 
 
 class TestPayoff:

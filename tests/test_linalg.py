@@ -170,6 +170,66 @@ class TestApplyKraus:
                               linalg.apply_kraus(stack, ks))
 
 
+def two_product_reference(rho, stack):
+    # the operator sum as apply_kraus formed it with no operands laid out per set:
+    # every A_k rho in one batched product, swapped to (d, k, d) and copied, then
+    # one (d, k*d) @ (k*d, d) product per state
+    tmp = np.swapaxes(stack @ rho[..., None, :, :], -3, -2)
+    return (tmp.reshape(*rho.shape[:-1], -1)
+            @ stack.conj().swapaxes(-1, -2).reshape(-1, rho.shape[-1]))
+
+
+def random_densities(rng, shape):
+    return random_density(rng) if shape == () else np.stack(
+        [random_density(rng) for _ in range(shape[0])])
+
+
+class TestApplyKrausLayout:
+    # Every operator build_channel makes is X^c D: one nonzero entry per row, and
+    # that entry real or imaginary. So each entry of A_k rho is one product plus
+    # exact zeros, which any summation order or product kernel rounds alike, and
+    # the second product keeps its operands, shape and order: the laid-out form
+    # is bit-identical to the reference. A dense A_k makes each entry a sum of d
+    # products, which one (d*k, d) @ (d, d) product may round differently from
+    # k batched (d, d) products, so dense sets are held to a tolerance.
+    @pytest.mark.parametrize("kind", channels.KINDS)
+    @pytest.mark.parametrize("p,mu", [(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.3, 0.3),
+                                      (0.05, 0.95)])
+    def test_channel_sets_match_reference_bitwise(self, kind, p, mu):
+        ks = channels.build_channel(channels.ChannelSpec(kind, p, mu))
+        rng = np.random.default_rng(11)
+        for shape in [(), (1,), (3,)]:
+            rho = random_densities(rng, shape)
+            got = linalg.apply_kraus(rho, ks)
+            assert got.shape == rho.shape
+            assert got.tobytes() == two_product_reference(rho, ks.stack).tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (1,), (3,)])
+    def test_dense_sets_match_direct_sum(self, shape):
+        rng = np.random.default_rng(12)
+        weights = rng.dirichlet(np.ones(5))
+        ks = linalg.KrausSet([np.sqrt(w) * random_unitary(rng) for w in weights])
+        rho = random_densities(rng, shape)
+        got = linalg.apply_kraus(rho, ks)
+        want = [operator_sum(state, ks.stack) for state in rho.reshape(-1, 16, 16)]
+        assert np.max(np.abs(got.reshape(-1, 16, 16) - want)) <= 1e-13
+
+    def test_operands_laid_out_on_first_application(self):
+        ks = channels.build_channel(channels.ChannelSpec("depolarizing", 0.3, 0.3))
+        channels.verify_completeness(ks)
+        assert "_operands" not in vars(ks)
+        rho = random_density(np.random.default_rng(13))
+        first = ks(rho)
+        left, adjoint_rows = operands = vars(ks)["_operands"]
+        assert left.shape == adjoint_rows.shape == (16 * len(ks), 16)
+        for array in operands:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+        assert np.array_equal(linalg.apply_kraus(rho, ks), first)
+        assert all(a is b for a, b in zip(vars(ks)["_operands"], operands))
+
+
 class TestValidateDensity:
     def test_valid_state(self):
         rng = np.random.default_rng(4)
@@ -267,3 +327,16 @@ class TestKrausSet:
 
     def test_one_class(self):
         assert qminority.KrausSet is channels.KrausSet is linalg.KrausSet
+
+    @pytest.mark.parametrize("operators", [np.eye(16), np.zeros((2, 3, 4)),
+                                           np.zeros((2, 2, 2, 2)), np.ones(4)])
+    def test_rejects_non_stacks(self, operators):
+        with pytest.raises(ValueError, match=r"\(n, d, d\) stack, got \("):
+            linalg.KrausSet(operators)
+        assert operators.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(8, 8), (3, 8, 8), (16, 8), (16,)])
+    def test_rejects_state_of_other_dimension(self, shape):
+        ks = channels.build_channel(channels.ChannelSpec("bit_flip", 0.2, 0.5))
+        with pytest.raises(ValueError, match=r"does not fit Kraus stack \(16, 16, 16\)"):
+            linalg.apply_kraus(np.zeros(shape, dtype=complex), ks)
