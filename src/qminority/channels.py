@@ -26,11 +26,6 @@ KINDS = ("amplitude_damping",) + PAULI_KINDS
 
 N_QUBITS = 4
 
-# Chain weights below this are exact zeros of the parametrization (products
-# of vanishing branch probabilities), not rounding noise. Dropping them keeps
-# the operator count at 16 instead of 256 for the single-axis channels.
-PRUNE_EPS = 1e-300
-
 
 @dataclass(frozen=True)
 class ChannelSpec:
@@ -103,7 +98,9 @@ def pauli_memory_kraus(kind: str, p: float, mu: float) -> KrausSet:
     """Markov-correlated Pauli channel on four qubits: one Kraus operator per
     error pattern with nonzero weight (see ``pauli_memory_weights``)."""
     w = pauli_memory_weights(kind, np.array([p]), np.array([mu]))[0]
-    keep = w >= PRUNE_EPS
+    # the zero weights are exact (products with a vanishing branch probability);
+    # dropping them keeps 16 operators, not 256, for the single-axis channels
+    keep = w > 0.0
     ops = _PAULI_STRINGS[keep]
     # complex weights keep this one complex loop; the products are unchanged
     ops *= np.sqrt(w[keep]).astype(complex)[:, None, None]

@@ -149,8 +149,7 @@ def _validate_checks(inject_broken: bool):
     checks.append(("payoff bounds", lo >= 0.0 and hi <= 1.0,
                    f"range [{lo:.6f}, {hi:.6f}]"))
 
-    noiseless = [game.evaluate(kind, [0.0], [0.0], np.pi / 2).payoffs[0, 0]
-                 for kind in channels.KINDS]
+    noiseless = [run.payoffs[0, 0] for run in runs]  # each kind at p = mu = 0
     spread = max(abs(x - noiseless[0]) for x in noiseless[1:])
     checks.append(("noiseless channel equality", spread <= 1e-12,
                    f"max spread {spread:.3e}"))
@@ -210,10 +209,9 @@ def cmd_best_response(args) -> int:
     spec = channels.ChannelSpec(args.channel, args.p, args.mu)
     cfg = game.GameConfig(gamma=args.gamma, noise_pre=spec, noise_post=spec,
                           strategies=(args.others,) * 4)
-    best, payoff, (gate, rho, post, moves) = game._best_response(cfg, args.player, args.grid)
+    best, payoff, play = game._best_response(cfg, args.player, args.grid)
     # the equilibrium move in the searched slot, on the search's own Kraus-path setup
-    ne_move = game.strategy_unitary(game.ne_strategy())[None]
-    ne_payoff = game._play_slot(rho, moves, args.player, ne_move, post, gate)[0].item()
+    ne_payoff = play(game.strategy_unitary(game.ne_strategy())[None])[0].item()
     text = json.dumps({
         "theta": best.theta,
         "alpha": best.alpha,

@@ -239,37 +239,33 @@ _PROBE_MOVES = np.stack([linalg.pauli(0), 1j * linalg.pauli(1),
                          (linalg.pauli(0) - 1j * linalg.pauli(1)) / np.sqrt(2)])
 
 
-def _play_slot(rho, moves: list, player: int, stack: np.ndarray, noise, gate) -> np.ndarray:
-    """The searched player's payoffs for an (n, 2, 2) stack of moves in their slot."""
+def _slot(config: GameConfig, player: int):
+    """The searched player's payoffs, as a function of an (n, 2, 2) stack of moves in
+    their slot, on one Kraus-path setup of ``config``."""
+    gate, rho, post, moves = _kraus_setup(config)
     # a chunk makes at most CHUNK_POINTS // 4 Kraus products (one point if k is
     # larger), so apply_kraus's (chunk, k, 16, 16) products stay within 1 MB
-    chunk = max(1, (CHUNK_POINTS // 4) // len(noise))
-    moves = list(moves)
-    payoffs = []
-    for start in range(0, len(stack), chunk):
-        moves[player - 1] = stack[start:start + chunk]
-        payoffs.append(_play(rho, moves, noise, gate)[2][:, player - 1])
-    return np.concatenate(payoffs)
+    chunk = max(1, (CHUNK_POINTS // 4) // len(post))
+
+    def play(stack: np.ndarray) -> np.ndarray:
+        slot = list(moves)
+        payoffs = []
+        for start in range(0, len(stack), chunk):
+            slot[player - 1] = stack[start:start + chunk]
+            payoffs.append(_play(rho, slot, post, gate)[2][:, player - 1])
+        return np.concatenate(payoffs)
+    return play
 
 
-def _payoff_form(rho, moves: list, player: int, noise, gate) -> np.ndarray:
+def _payoff_form(play) -> np.ndarray:
     """(c, b_x, b_y, b_z), with payoff c + b.m for the move u, m the Bloch vector of u+Zu.
 
     J+ keeps each payoff projector (the payoff is symmetric under bit complement) and
     the second noise map keeps diagonal observables diagonal, so the observable the
-    move sees commutes with Z on its qubit: four plays fix c and b."""
-    up, down, x, y = _play_slot(rho, moves, player, _PROBE_MOVES, noise, gate)
+    move sees commutes with Z on its qubit: four plays of the slot fix c and b."""
+    up, down, x, y = play(_PROBE_MOVES)
     c = (up + down) / 2
     return np.array([c, x - c, y - c, (up - down) / 2])
-
-
-def _slab_scores(form: np.ndarray, theta: float, phases: np.ndarray) -> np.ndarray:
-    """c + b.m at the lattice points of one theta slab, alpha-major then beta."""
-    c, b_x, b_y, b_z = form
-    # m = (sin theta sin(alpha - beta), -sin theta cos(alpha - beta), cos theta)
-    delta = np.subtract.outer(phases, phases)
-    return (c + b_z * np.cos(theta)
-            + np.sin(theta) * (b_x * np.sin(delta) - b_y * np.cos(delta))).ravel()
 
 
 def best_response_search(config: GameConfig, player: int, grid_points: int):
@@ -293,33 +289,39 @@ def best_response_search(config: GameConfig, player: int, grid_points: int):
 
 
 def _best_response(config: GameConfig, player: int, grid_points: int):
-    """best_response_search's triple and payoff, then the Kraus-path setup it searched."""
+    """best_response_search's triple and payoff, then the slot function it searched."""
     if player not in (1, 2, 3, 4):
         raise ValueError(f"player must be 1..4, got {player}")
     if grid_points < 2:
         raise ValueError(f"need at least 2 grid points, got {grid_points}")
-    setup = gate, rho, post, moves = _kraus_setup(config)
-    form = _payoff_form(rho, moves, player, post, gate)
+    play = _slot(config, player)
+    c, b_x, b_y, b_z = _payoff_form(play)
     thetas = np.linspace(0.0, np.pi, grid_points).tolist()
     phases = np.linspace(-np.pi, np.pi, grid_points)
-    floor = max(_slab_scores(form, theta, phases).max() for theta in thetas) - _SCREEN_MARGIN
+    # m = (sin theta sin(alpha - beta), -sin theta cos(alpha - beta), cos theta), so a
+    # theta slab, alpha-major then beta, scores c + b_z cos theta + sin theta * table
+    delta = np.subtract.outer(phases, phases).ravel()
+    table = b_x * np.sin(delta) - b_y * np.cos(delta)
+
+    def scores(theta: float) -> np.ndarray:
+        return c + b_z * np.cos(theta) + np.sin(theta) * table
+    floor = max(scores(theta).max() for theta in thetas) - _SCREEN_MARGIN
     # each slab's first maximum over its screened points, then, if a screened
     # payoff strays from its score, over all of them
     for screened in (True, False):
         found = []
         for theta in thetas:
-            scores = _slab_scores(form, theta, phases)
-            kept = np.flatnonzero(scores >= floor) if screened else np.arange(scores.size)
+            slab = scores(theta)
+            kept = np.flatnonzero(slab >= floor) if screened else np.arange(slab.size)
             if not len(kept):
                 continue
             alphas, betas = np.divmod(kept, grid_points)
             triples = [StrategyTriple(theta, alpha, beta) for alpha, beta
                        in zip(phases[alphas].tolist(), phases[betas].tolist())]
-            stack = np.stack([strategy_unitary(s) for s in triples])
-            payoffs = _play_slot(rho, moves, player, stack, post, gate)
-            if screened and not np.all(np.abs(payoffs - scores[kept]) <= _SCREEN_MARGIN / 4):
+            payoffs = play(np.stack([strategy_unitary(s) for s in triples]))
+            if screened and not np.all(np.abs(payoffs - slab[kept]) <= _SCREEN_MARGIN / 4):
                 break
             best = int(np.argmax(payoffs))  # the first maximum: ties keep the earliest point
             found.append((triples[best], payoffs[best].item()))
         else:
-            return (*max(found, key=lambda point: point[1]), setup)  # ties keep the earliest slab
+            return (*max(found, key=lambda point: point[1]), play)  # ties keep the earliest slab

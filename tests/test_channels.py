@@ -80,6 +80,13 @@ class TestMemoryKraus:
             for op in ks:
                 assert np.max(np.abs(op)) > 0.0
 
+    @pytest.mark.parametrize("kind", channels.PAULI_KINDS)
+    def test_keeps_one_operator_per_nonzero_weight(self, kind):
+        # every zero weight is exact, so the set keeps exactly the nonzero ones
+        for p, mu in itertools.product([0.0, 1e-3, 0.3, 0.5, 1.0], [0.0, 0.3, 0.999, 1.0]):
+            w = channels.pauli_memory_weights(kind, np.array([p]), np.array([mu]))
+            assert len(channels.pauli_memory_kraus(kind, p, mu)) == np.count_nonzero(w)
+
     def test_hand_computed_weights(self):
         # bit flip, p=0.3, mu=0.5, alpha=(0.7, 0.3):
         #   all-X tuple:  0.3 * (0.5*0.3 + 0.5)^3 = 0.0823875
@@ -316,7 +323,7 @@ def _reference_pauli_stack(kind, p, mu):
     ops = []
     for idx in _PATTERNS:
         w = _chain_weight(alpha, mu, idx)
-        if w >= channels.PRUNE_EPS:
+        if w > 0.0:
             ops.append(np.sqrt(w) * _STRINGS[idx])
     return np.stack(ops)
 

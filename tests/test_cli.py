@@ -182,6 +182,7 @@ class TestValidate:
         assert "FAIL" not in out
         assert out.count("PASS") >= 6
         assert "symmetry" in out
+        assert "noiseless channel equality: PASS (max spread 0.000e+00)\n" in out
 
     def test_details_report_the_measured_extremes(self, capsys):
         # the positivity and bounds details print what the 3x3 grid gave, not
@@ -196,6 +197,14 @@ class TestValidate:
         assert details["payoff bounds"] == (
             f"PASS (range [{payoffs.min():.6f}, {payoffs.max():.6f}])")
         assert details["payoff bounds"] == "PASS (range [0.000000, 0.250000])"
+
+    @pytest.mark.parametrize("kind", channels.KINDS)
+    def test_noiseless_payoff_is_the_grids_first_point(self, kind):
+        # the noiseless check reads p = mu = 0 off the 3x3 grid's batch; a
+        # one-point batch at the same place gives the same bits
+        p, mu = np.repeat((0.0, 0.5, 1.0), 3), np.tile((0.0, 0.5, 1.0), 3)
+        grid = game.evaluate(kind, p, mu, np.pi / 2).payoffs[0]
+        assert grid.tobytes() == game.evaluate(kind, [0.0], [0.0], np.pi / 2).payoffs[0].tobytes()
 
     def test_injected_broken_channel(self, capsys):
         code, out, _ = run_cli(["validate", "--inject-broken-channel"], capsys)

@@ -425,6 +425,36 @@ class TestBestResponseSearch:
         assert peak < 8 * 2 ** 20
 
 
+class TestSlot:
+    @pytest.mark.parametrize("kind,pre,post,player", [
+        ("bit_flip", (0.2, 0.5), (0.4, 0.5), 1),
+        ("amplitude_damping", (0.3, 0.2), (0.6, 0.7), 2),
+        ("depolarizing", (0.1, 0.9), (0.3, 0.3), 4),
+    ])
+    def test_equilibrium_move_is_run_game(self, kind, pre, post, player):
+        # the slot plays the searched move on run_game's own setup, bit for bit,
+        # when each noise stage has its own Kraus set too
+        others = game.StrategyTriple(1.0, 0.5, -0.3)
+        profile = [others] * 4
+        profile[player - 1] = game.ne_strategy()
+        cfg = game.GameConfig(gamma=np.pi / 3, noise_pre=channels.ChannelSpec(kind, *pre),
+                              noise_post=channels.ChannelSpec(kind, *post),
+                              strategies=tuple(profile))
+        play = game._slot(cfg, player)
+        ne_move = game.strategy_unitary(game.ne_strategy())[None]
+        assert play(ne_move)[0] == game.run_game(cfg).payoffs[player - 1]
+
+    def test_builds_kraus_sets_once(self, construction_counts):
+        # one Kraus set per noise stage, however often the slot is played
+        pre, post = (channels.ChannelSpec("bit_flip", p, 0.5) for p in (0.2, 0.4))
+        cfg = game.GameConfig(gamma=np.pi / 2, noise_pre=pre, noise_post=post)
+        play = game._slot(cfg, 3)
+        lattice = np.stack([game.strategy_unitary(s) for s in lattice_points(3)])
+        for stack in lattice[:5], lattice[5:], lattice:
+            play(stack)
+        assert construction_counts["build"] == 2
+
+
 def lattice_points(grid):
     """The search lattice in its theta-major order."""
     thetas = np.linspace(0.0, np.pi, grid).tolist()
@@ -446,15 +476,13 @@ def per_point_best(cfg, player, grid):
 
 
 def slot_player(kind, p, mu, gamma, player, others):
-    """The searched slot as best_response_search sets it up: its _play_slot for
+    """The searched slot as best_response_search sets it up: its slot function for
     a stack of moves, and its form (c, b_x, b_y, b_z)."""
     spec = channels.ChannelSpec(kind, p, mu)
-    gate = game.entangler(gamma)
-    noise = channels.build_channel(spec)
-    rho = game._pre_move_state(gate, noise)
-    moves = [game.strategy_unitary(s) for s in others]
-    form = game._payoff_form(rho, moves, player, noise, gate)
-    return lambda stack: game._play_slot(rho, moves, player, stack, noise, gate), form
+    cfg = game.GameConfig(gamma=gamma, noise_pre=spec, noise_post=spec,
+                          strategies=tuple(others))
+    play = game._slot(cfg, player)
+    return play, game._payoff_form(play)
 
 
 def bloch_of_z(u):
