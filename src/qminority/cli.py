@@ -2,15 +2,18 @@
 
 All output is deterministic: the same argument vector produces byte-identical
 stdout or files. Files are written to a temporary name in the target
-directory and renamed into place, so a failed run never leaves a half-written file.
+directory and renamed into place, so a failed run never leaves a half-written file,
+and stdout gets all of a command's output or none of it.
 Exit codes: 0 success, 1 validation/consistency failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
+import shutil
 import sys
 import tempfile
 
@@ -66,9 +69,18 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_output(text: str, path: str | None) -> int:
+def _write_output(pieces, path: str | None) -> int:
+    """Write the text pieces to ``path``, or to stdout for None or '-', all or nothing.
+
+    A file is written under a temporary name in its directory and renamed into
+    place; stdout output is spooled to a temporary file and copied out at the end.
+    So an exception while the pieces are produced leaves no output behind.
+    """
     if path in (None, "-"):
-        sys.stdout.write(text)
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as spool:
+            spool.writelines(pieces)
+            spool.seek(0)
+            shutil.copyfileobj(spool, sys.stdout)
         return 0
     target = os.path.abspath(path)
     tmp_name = None
@@ -77,14 +89,54 @@ def _write_output(text: str, path: str | None) -> int:
                                          suffix=".tmp", delete=False,
                                          encoding="utf-8", newline="\n") as tmp:
             tmp_name = tmp.name
-            tmp.write(text)
+            tmp.writelines(pieces)
         os.replace(tmp_name, target)
     except OSError as exc:
+        # strerror only: the exception text names the random temporary file
+        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return 2
+    finally:
         if tmp_name and os.path.exists(tmp_name):
             os.unlink(tmp_name)
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return 2
     return 0
+
+
+# Sweep output per format: the text before the rows, one row (str.format fields),
+# the separator after each row but the last, the text after the rows, and the
+# %-format of a number. The JSON text is json.dumps(rows, indent=2) + "\n".
+_SWEEP_FORMATS = {
+    "csv": (CSV_HEADER + "\n", "{channel},{p},{mu},{gamma},{player},{payoff}",
+            "\n", "\n", "%.17g"),
+    "json": ("[\n", '  {{\n    "channel": "{channel}",\n    "p": {p},\n    "mu": {mu},\n'
+                    '    "gamma": {gamma},\n    "player": {player},\n    "payoff": {payoff}\n  }}',
+             ",\n", "\n]\n", "%r"),
+}
+
+
+def _sweep_text(kind: str, vary: str, fixed: dict, points: int, fmt: str):
+    """The sweep's output text, one game.CHUNK_POINTS slice of the grid at a time.
+
+    Each slice is evaluated, then formatted straight from its arrays with one
+    %-template per point: the fixed values are formatted once per sweep and the
+    varied one once per point. The first piece comes after the first slice is
+    evaluated, so bad arguments fail before any output is opened.
+    """
+    head, row, sep, tail, number = _SWEEP_FORMATS[fmt]
+    cells = {axis: number % value for axis, value in fixed.items()}
+    point = "".join(row.format(channel=kind, player=k, payoff=number, **cells, **{vary: "%s"})
+                    + sep for k in (1, 2, 3, 4))
+    grid = game._sweep_grid(vary, fixed, points)
+    for start in range(0, points, game.CHUNK_POINTS):
+        stop = min(start + game.CHUNK_POINTS, points)
+        axes = grid(start, stop)
+        payoffs = game.evaluate(kind, axes["p"], axes["mu"], axes["gamma"]).payoffs
+        values = np.empty((stop - start, 4, 2), dtype=object)
+        values[..., 0] = np.array([number % x for x in axes[vary].tolist()], dtype=object)[:, None]
+        values[..., 1] = payoffs
+        text = (point * (stop - start)) % tuple(values.ravel())
+        if start == 0:
+            text = head + text
+        yield text[:-len(sep)] + tail if stop == points else text
 
 
 def cmd_sweep(args) -> int:
@@ -101,19 +153,9 @@ def cmd_sweep(args) -> int:
                       file=sys.stderr)
                 return 2
             fixed[axis] = value
-    curve = game.payoff_curve(args.channel, args.vary, fixed, args.points)
-    if args.format == "csv":
-        lines = [CSV_HEADER]
-        for pt in curve:
-            prefix = f"{args.channel},{_fmt(pt.p)},{_fmt(pt.mu)},{_fmt(pt.gamma)}"
-            lines += [f"{prefix},{k + 1},{_fmt(payoff)}" for k, payoff in enumerate(pt.payoffs)]
-        text = "\n".join(lines) + "\n"
-    else:
-        rows = [{"channel": args.channel, "p": pt.p, "mu": pt.mu,
-                 "gamma": pt.gamma, "player": k + 1, "payoff": pt.payoffs[k]}
-                for pt in curve for k in range(4)]
-        text = json.dumps(rows, indent=2) + "\n"
-    return _write_output(text, args.out)
+    pieces = _sweep_text(args.channel, args.vary, fixed, args.points, args.format)
+    first = next(pieces)  # raises on bad arguments before the output is opened
+    return _write_output(itertools.chain((first,), pieces), args.out)
 
 
 def _validate_checks(inject_broken: bool):
@@ -195,7 +237,7 @@ def cmd_compare(args) -> int:
             "max_difference": report.max_difference,
             "points": [pt._asdict() for pt in report.points],
         }, indent=2) + "\n"
-    code = _write_output(text, args.out)
+    code = _write_output((text,), args.out)
     if code != 0:
         return code
     print(f"{report.kind}: {report.verdict} "
@@ -219,7 +261,7 @@ def cmd_best_response(args) -> int:
         "payoff": payoff,
         "ne_payoff": ne_payoff,
     }, indent=2) + "\n"
-    return _write_output(text, args.out)
+    return _write_output((text,), args.out)
 
 
 def cmd_payoff(args) -> int:
@@ -236,7 +278,7 @@ def cmd_payoff(args) -> int:
               "gamma": args.gamma}
     for k in range(4):
         result[f"payoff_{k + 1}"] = payoffs[k]
-    return _write_output(json.dumps(result, indent=2) + "\n", args.out)
+    return _write_output((json.dumps(result, indent=2) + "\n",), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,12 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--points", type=int, default=101)
     sweep.add_argument("--out", default=None, help="output path (default stdout)")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    sweep.set_defaults(func=cmd_sweep)
 
     validate = sub.add_parser("validate", help="run the invariant suite")
     validate.add_argument("--inject-broken-channel", action="store_true",
                           help=argparse.SUPPRESS)
-    validate.set_defaults(func=cmd_validate)
 
     compare = sub.add_parser("compare", help="closed-form curves vs simulation")
     compare.add_argument("--channel", type=parse_channel, required=True)
@@ -268,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--gamma", type=parse_angle, default=np.pi / 2)
     compare.add_argument("--out", default=None)
     compare.add_argument("--format", choices=("csv", "json"), default="csv")
-    compare.set_defaults(func=cmd_compare)
 
     best = sub.add_parser("best-response", help="lattice search over one player's move")
     best.add_argument("--channel", type=parse_channel, required=True)
@@ -280,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     best.add_argument("--others", type=parse_triple, default=game.ne_strategy(),
                       help="strategy triple of the non-searched players")
     best.add_argument("--out", default=None)
-    best.set_defaults(func=cmd_best_response)
 
     payoff = sub.add_parser("payoff", help="single-point payoff evaluation")
     payoff.add_argument("--channel", type=parse_channel, required=True)
@@ -290,14 +328,19 @@ def build_parser() -> argparse.ArgumentParser:
     payoff.add_argument("--strategy", type=parse_triple, action="append",
                         default=None, help="repeat 4 times, 'theta,alpha,beta'")
     payoff.add_argument("--out", default=None)
-    payoff.set_defaults(func=cmd_payoff)
     return parser
 
 
+# The grammar is a constant of the program, built once at import
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    # looked up per call, so a cmd_* function replaced after import is the one run
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -46,11 +46,17 @@ class Evaluation(NamedTuple):
 _X4 = linalg.tensor([linalg.pauli(1)] * 4)
 
 
-def entangler(gamma: float) -> np.ndarray:
-    """Collective entangling gate: exp(i gamma/2 XXXX) on the four qubits."""
-    if not 0.0 <= gamma <= np.pi / 2:
-        raise ValueError(f"gamma must be in [0, pi/2], got {gamma}")
-    return np.cos(gamma / 2) * np.eye(16) + 1j * np.sin(gamma / 2) * _X4
+def entangler(gamma) -> np.ndarray:
+    """Collective entangling gate: exp(i gamma/2 XXXX) on the four qubits.
+
+    One angle gives the 16x16 gate, a 1-D array of n angles the (n, 16, 16) stack.
+    """
+    angles = np.asarray(gamma, dtype=float)
+    bad = np.sort(angles[~((angles >= 0.0) & (angles <= np.pi / 2))])
+    if bad.size:  # the smallest bad angle; nan sorts last
+        raise ValueError(f"gamma must be in [0, pi/2], got {bad[0]}")
+    half = angles[..., None, None] / 2
+    return np.cos(half) * np.eye(16) + 1j * np.sin(half) * _X4
 
 
 def strategy_unitary(triple: StrategyTriple) -> np.ndarray:
@@ -127,9 +133,8 @@ def _profile(strategies) -> tuple:
 
 def _pre_move_state(gate: np.ndarray, noise) -> np.ndarray:
     """J|0000>, then the first noise map, for one 16x16 gate or an (n, 16, 16) stack."""
-    rho = np.zeros(gate.shape, dtype=complex)
-    rho[..., 0, 0] = 1.0
-    return noise(linalg.conjugate(rho, gate))
+    column = gate[..., :, 0]  # J|0000>
+    return noise(column[..., :, None] * column[..., None, :].conj())
 
 
 def _play(rho: np.ndarray, moves: list, noise, gate: np.ndarray):
@@ -191,9 +196,9 @@ def evaluate(kind: str, p, mu, gamma, strategies=None) -> Evaluation:
     for start in range(0, len(p), CHUNK_POINTS):
         part = slice(start, start + CHUNK_POINTS)
         noise = channels.channel_maps(kind, p[part], mu[part])
-        angles, index = np.unique(gamma[part], return_inverse=True)
-        gates = np.stack([entangler(g) for g in angles.tolist()])
-        gate = gates[0] if len(angles) == 1 else gates[index]  # the noise maps broadcast one gate
+        angles = gamma[part]
+        # the noise maps broadcast one gate over a chunk with one gamma
+        gate = entangler(angles[0] if np.all(angles == angles[0]) else angles)
         _, report, payoffs = _play(_pre_move_state(gate, noise), moves, noise, gate)
         for out, value in zip(result, (payoffs, report.trace_residual, report.min_eigenvalue)):
             out[part] = value
@@ -203,11 +208,14 @@ def evaluate(kind: str, p, mu, gamma, strategies=None) -> Evaluation:
 _AXES = ("p", "mu", "gamma")
 
 
-def payoff_curve(kind: str, vary: str, fixed: dict, points: int = 101) -> list:
-    """Sweep one axis at the symmetric equilibrium profile.
+def _sweep_grid(vary: str, fixed: dict, points: int):
+    """Check a one-axis sweep; returns the function from a point range [start, stop)
+    to its p, mu and gamma.
 
-    ``vary`` is one of p, mu, gamma; ``fixed`` must hold the other two.
-    p and mu run over [0, 1], gamma over [0, pi/2], all on uniform grids.
+    ``vary`` is one of p, mu, gamma; ``fixed`` must hold the other two. The varied
+    axis is np.linspace(0, high, points), high 1 for p and mu and pi/2 for gamma;
+    each range is computed with linspace's own arithmetic, so it holds that slice
+    of the axis, bit for bit, and no range needs the whole axis.
     """
     if points < 2:
         raise ValueError(f"need at least 2 points, got {points}")
@@ -216,7 +224,22 @@ def payoff_curve(kind: str, vary: str, fixed: dict, points: int = 101) -> list:
     if set(fixed) != set(_AXES) - {vary}:
         raise ValueError(f"fixed must supply exactly {sorted(set(_AXES) - {vary})}")
     high = np.pi / 2 if vary == "gamma" else 1.0
-    grid = dict(fixed, **{vary: np.linspace(0.0, high, points)})
+
+    def grid(start: int, stop: int) -> dict:
+        axis = np.arange(start, stop, dtype=float) * (high / (points - 1))
+        if stop == points:
+            axis[-1] = high
+        return dict(fixed, **{vary: axis})
+    return grid
+
+
+def payoff_curve(kind: str, vary: str, fixed: dict, points: int = 101) -> list:
+    """Sweep one axis at the symmetric equilibrium profile.
+
+    ``vary`` is one of p, mu, gamma; ``fixed`` must hold the other two.
+    p and mu run over [0, 1], gamma over [0, pi/2], all on uniform grids.
+    """
+    grid = _sweep_grid(vary, fixed, points)(0, points)
     payoffs = evaluate(kind, grid["p"], grid["mu"], grid["gamma"]).payoffs
     curve = []
     for x, row in zip(grid[vary].tolist(), payoffs.tolist()):

@@ -175,6 +175,153 @@ class TestSweep:
         assert out.splitlines()[1].startswith("phase_flip,")
 
 
+# The seven (vary, fixed) parameterisations of the paper's figures, as CLI flags
+FIGURE_SWEEPS = (
+    ("p", {"mu": "0", "gamma": "pi/2"}),
+    ("p", {"mu": "0.3", "gamma": "pi/2"}),
+    ("p", {"mu": "0.7", "gamma": "pi/2"}),
+    ("p", {"mu": "1", "gamma": "pi/2"}),
+    ("mu", {"p": "0.3", "gamma": "pi/2"}),
+    ("mu", {"p": "0.7", "gamma": "pi/2"}),
+    ("gamma", {"p": "0.3", "mu": "0.3"}),
+)
+
+
+def whole_curve_text(channel, vary, fixed, points, fmt):
+    """The sweep output as the CLI formatted it before streaming: the whole curve
+    from payoff_curve, then every line, then one joined text."""
+    kind = cli.parse_channel(channel)
+    curve = game.payoff_curve(kind, vary, fixed, points)
+    if fmt == "csv":
+        lines = [cli.CSV_HEADER]
+        for pt in curve:
+            prefix = f"{kind},{pt.p:.17g},{pt.mu:.17g},{pt.gamma:.17g}"
+            lines += [f"{prefix},{k + 1},{payoff:.17g}" for k, payoff in enumerate(pt.payoffs)]
+        return "\n".join(lines) + "\n"
+    rows = [{"channel": kind, "p": pt.p, "mu": pt.mu, "gamma": pt.gamma,
+             "player": k + 1, "payoff": pt.payoffs[k]} for pt in curve for k in range(4)]
+    return json.dumps(rows, indent=2) + "\n"
+
+
+def sweep_argv(channel, vary, fixed, points, fmt):
+    argv = ["sweep", "--channel", channel, "--vary", vary, "--points", str(points),
+            "--format", fmt]
+    for flag, value in fixed.items():
+        argv += [f"--{flag}", value]
+    return argv
+
+
+class TestStreamedSweep:
+    def assert_streams_whole_curve_text(self, channel, vary, fixed, points, fmt,
+                                        tmp_path, capsys):
+        expected = whole_curve_text(channel, vary, {axis: cli.parse_angle(value)
+                                                    for axis, value in fixed.items()},
+                                    points, fmt)
+        argv = sweep_argv(channel, vary, fixed, points, fmt)
+        assert run_cli(argv, capsys) == (0, expected, "")
+        out = tmp_path / f"sweep.{fmt}"
+        assert run_cli(argv + ["--out", str(out)], capsys) == (0, "", "")
+        assert out.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("channel", ["ad", "dep", "bf", "pf", "bpf"])
+    @pytest.mark.parametrize("vary, fixed", FIGURE_SWEEPS,
+                             ids=[f"{v}-" + "-".join(f.values()) for v, f in FIGURE_SWEEPS])
+    def test_figure_sweep_bytes(self, vary, fixed, channel, fmt, tmp_path, capsys):
+        self.assert_streams_whole_curve_text(channel, vary, fixed, 101, fmt, tmp_path, capsys)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("points", [2, 3, 256, 257, 513])
+    def test_chunk_edge_bytes(self, points, fmt, tmp_path, capsys):
+        # one slice, exactly one full slice, and one or two points past a slice
+        assert game.CHUNK_POINTS == 256
+        self.assert_streams_whole_curve_text("dep", "gamma", {"p": "0.3", "mu": "0.6"},
+                                             points, fmt, tmp_path, capsys)
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_failure_in_second_slice_writes_nothing(self, to_file, tmp_path, capsys,
+                                                    monkeypatch):
+        calls, validate = [], linalg.validate_densities
+
+        def second_slice_fails(rho):
+            calls.append(len(rho))
+            report = validate(rho)
+            if len(calls) == 2:
+                ones = np.ones(len(rho))
+                return linalg.ValidationReport(ones, 0 * ones, 0 * ones)
+            return report
+        monkeypatch.setattr(linalg, "validate_densities", second_slice_fails)
+        out = tmp_path / "sweep.csv"
+        argv = sweep_argv("bf", "p", {"mu": "0.5", "gamma": "pi/2"}, 300, "csv")
+        code, stdout, err = run_cli(argv + (["--out", str(out)] if to_file else []), capsys)
+        assert calls == [256, 44]
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: final state failed validation")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_peak_rss_is_flat(self):
+        # 20,001 points streamed in 79 slices peak within 3 MB of 1,001 points
+        script = Path(__file__).resolve().parent / "sweep_memory.py"
+        src = os.path.dirname(os.path.dirname(qminority.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, str(script), "20001", "3"],
+                              capture_output=True, text=True, timeout=300,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+class TestGrammar:
+    def test_built_once_at_import(self, capsys, monkeypatch):
+        def build_parser():
+            raise AssertionError("main rebuilt the grammar")
+        monkeypatch.setattr(cli, "build_parser", build_parser)
+        code, out, _ = run_cli(["payoff", "--channel", "pf", "--p", "0", "--mu", "0",
+                                "--gamma", "0"], capsys)
+        assert (code, json.loads(out)["channel"]) == (0, "phase_flip")
+
+    @pytest.mark.parametrize("command, argv", [
+        ("cmd_sweep", ["sweep", "--channel", "pf", "--vary", "p", "--mu", "0", "--gamma", "0"]),
+        ("cmd_validate", ["validate"]),
+        ("cmd_compare", ["compare", "--channel", "pf"]),
+        ("cmd_best_response", ["best-response", "--channel", "pf", "--p", "0", "--mu", "0",
+                               "--gamma", "0"]),
+        ("cmd_payoff", ["payoff", "--channel", "pf", "--p", "0", "--mu", "0", "--gamma", "0"]),
+    ])
+    def test_command_replaced_after_import_is_run(self, command, argv, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, command, lambda args: seen.append(args.command) or 7)
+        assert cli.main(argv) == 7
+        assert seen == [argv[0]]
+
+    def test_parses_the_same_after_many_calls(self):
+        argv = ["payoff", "--channel", "pf", "--p", "0", "--mu", "0", "--gamma", "0",
+                "--strategy", "0,0,0"]
+        first = vars(cli._PARSER.parse_args(argv))
+        for _ in range(3):
+            cli._PARSER.parse_args(argv)
+        assert vars(cli._PARSER.parse_args(argv)) == first == vars(cli.build_parser().parse_args(argv))
+
+
+class TestWriteErrors:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--channel", "pf", "--vary", "p", "--mu", "0", "--gamma", "0", "--points", "3"],
+        ["compare", "--channel", "pf", "--p-points", "2", "--mu-points", "2"],
+        ["best-response", "--channel", "pf", "--p", "0", "--mu", "0", "--gamma", "0",
+         "--grid", "2"],
+        ["payoff", "--channel", "pf", "--p", "0", "--mu", "0", "--gamma", "0"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_path_message_is_deterministic(self, argv, capsys):
+        argv = argv + ["--out", "/no_such_dir_qm/x.csv"]
+        first, second = run_cli(argv, capsys), run_cli(argv, capsys)
+        assert first == second == (
+            2, "", "error: cannot write /no_such_dir_qm/x.csv: No such file or directory\n")
+
+    def test_bad_arguments_are_reported_before_the_write(self, capsys):
+        code, out, err = run_cli(["sweep", "--channel", "pf", "--vary", "p", "--mu", "3",
+                                  "--gamma", "pi/2", "--out", "/no_such_dir_qm/x.csv"], capsys)
+        assert (code, out, err) == (2, "", "error: mu must be in [0, 1], got 3.0\n")
+
+
 class TestValidate:
     def test_clean_run(self, capsys):
         code, out, _ = run_cli(["validate"], capsys)

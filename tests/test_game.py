@@ -70,6 +70,34 @@ class TestEntangler:
         with pytest.raises(ValueError):
             game.entangler(gamma)
 
+    @pytest.mark.parametrize("angles", [
+        np.linspace(0, np.pi / 2, 101),
+        np.random.default_rng(3).uniform(0, np.pi / 2, 300),
+        np.array([np.pi / 2]),
+    ], ids=["figure-grid", "random", "one"])
+    def test_array_is_the_per_angle_stack(self, angles):
+        stack = np.stack([game.entangler(g) for g in angles.tolist()])
+        assert game.entangler(angles).tobytes() == stack.tobytes()
+
+    @pytest.mark.parametrize("angles, bad", [
+        ([0.1, 3.0, -0.5, 2.0], "-0.5"),  # the smallest bad angle
+        ([0.1, np.nan, 2.0], "2.0"),      # nan sorts last
+        ([np.nan, np.nan], "nan"),
+    ])
+    def test_array_range(self, angles, bad):
+        with pytest.raises(ValueError, match=rf"^gamma must be in \[0, pi/2\], got {bad}$"):
+            game.entangler(np.array(angles))
+
+    @pytest.mark.parametrize("gamma", [0.0, np.pi / 5, np.pi / 2,
+                                       np.linspace(0, np.pi / 2, 101)])
+    def test_pre_move_state_is_the_conjugated_ground_state(self, gamma):
+        # J|0000><0000|J+ as the outer product of J's first column, bit for bit
+        gate = game.entangler(gamma)
+        ground = np.zeros(gate.shape, dtype=complex)
+        ground[..., 0, 0] = 1.0
+        state = game._pre_move_state(gate, lambda rho: rho)
+        assert state.tobytes() == linalg.conjugate(ground, gate).tobytes()
+
 
 class TestStrategyUnitary:
     def test_identity(self):
@@ -275,6 +303,21 @@ class TestPayoffCurve:
     def test_rejects_too_few_points(self):
         with pytest.raises(ValueError):
             game.payoff_curve("bit_flip", "p", {"mu": 0.0, "gamma": 0.0}, points=1)
+
+
+class TestSweepGrid:
+    @pytest.mark.parametrize("vary, high", [("p", 1.0), ("gamma", np.pi / 2)])
+    @pytest.mark.parametrize("points", [2, 3, 101, 255, 256, 257, 513, 20001])
+    def test_slices_are_linspace(self, vary, high, points):
+        fixed = {"p": 0.3, "mu": 0.6, "gamma": 1.0}
+        del fixed[vary]
+        grid = game._sweep_grid(vary, fixed, points)
+        size = game.CHUNK_POINTS
+        slices = [grid(start, min(start + size, points)) for start in range(0, points, size)]
+        axis = np.concatenate([axes[vary] for axes in slices])
+        assert axis.tobytes() == np.linspace(0.0, high, points).tobytes()
+        assert all(axes.keys() == {"p", "mu", "gamma"} for axes in slices)
+        assert all(axes[name] == value for axes in slices for name, value in fixed.items())
 
 
 class TestBestResponseSearch:
