@@ -60,6 +60,7 @@ _XZ_ORDER = np.argsort(np.array([0, 16, 17, 1])[_PAULI_PATTERNS] @ [8, 4, 2, 1])
 _BANDS = np.arange(16)[:, None] * 16 + (np.arange(16)[:, None] ^ np.arange(16))
 _WALSH = linalg.tensor([np.array([[1.0, 1.0], [1.0, -1.0]])] * N_QUBITS)
 _AD_PATTERNS = np.array(list(itertools.product(range(2), repeat=N_QUBITS)))
+_POPCOUNT = _AD_PATTERNS.sum(axis=1)  # |i|, the excited qubits of basis state i
 
 
 def _check_points(kind: str, p: np.ndarray, mu: np.ndarray) -> None:
@@ -174,33 +175,35 @@ def _check_cptp(residual: np.ndarray) -> None:
 
 
 def _damping_maps(p: np.ndarray, mu: np.ndarray):
-    # a0 = diag(1, keep) and a1 = lose |0><1| on each qubit, and the
-    # collective pair of ``ad_correlated_kraus``, which touches only row 0,
-    # column 0 and entry [15, 15]
+    # a0 = diag(1, keep) and a1 = lose |0><1| on each qubit send entry (i, j) to
+    # keep^(|i| + |j|) sum_m lose^(2|m|) rho[i | m, j | m], over the bit sets m that
+    # share no bit with i | j: the per-qubit transfers, then one scale. The
+    # collective pair of ``ad_correlated_kraus`` scales row 0 and column 0 by cos
+    # and moves sin^2 rho[0, 0] to [15, 15]
     keep, lose = np.sqrt(1.0 - p), np.sqrt(p)
     cos, sin = np.cos(np.arcsin(lose)), np.sin(np.arcsin(lose))
     _check_cptp(np.maximum(np.abs(keep ** 2 + lose ** 2 - 1.0),
                            np.abs(cos ** 2 + sin ** 2 - 1.0)))
-    qubit = (len(p),) + (1,) * (2 * N_QUBITS - 2)
-    keep_q, decay_q = keep.reshape(qubit), (lose ** 2).reshape(qubit)
+    decay_q = (lose ** 2).reshape((len(p),) + (1,) * (2 * N_QUBITS - 2))
+    ground = (_POPCOUNT == 0).astype(int)
+    # (n, 16, 16) tables gathered from each point's powers; 0 ** 0 is 1
+    product = ((1.0 - mu)[:, None] * keep[:, None] ** np.arange(2 * N_QUBITS + 1))[
+        :, _POPCOUNT[:, None] + _POPCOUNT]
+    collective = (mu[:, None] * cos[:, None] ** np.arange(3))[:, ground[:, None] + ground]
+    transfer = mu * sin ** 2
 
     def apply(rho: np.ndarray) -> np.ndarray:
         rho = np.broadcast_to(rho, (len(p),) + rho.shape[-2:])
-        product = rho.copy()
-        bits = product.reshape((len(p),) + (2,) * (2 * N_QUBITS))
+        out = rho.copy()
+        bits = out.reshape((len(p),) + (2,) * (2 * N_QUBITS))
         for q in range(N_QUBITS):
             # view with qubit q's row and column bits in front
             block = np.moveaxis(bits, (1 + q, 1 + N_QUBITS + q), (1, 2))
             block[:, 0, 0] += decay_q * block[:, 1, 1]
-            block[:, 1, 1] *= keep_q ** 2
-            block[:, 0, 1] *= keep_q
-            block[:, 1, 0] *= keep_q
-        collective = rho.copy()
-        collective[:, 0, :] *= cos[:, None]
-        collective[:, :, 0] *= cos[:, None]
-        collective[:, -1, -1] += sin ** 2 * rho[:, 0, 0]
-        return ((1.0 - mu)[:, None, None] * product
-                + mu[:, None, None] * collective)
+        out *= product
+        out += collective * rho
+        out[:, -1, -1] += transfer * rho[:, 0, 0]
+        return out
     return apply
 
 

@@ -137,11 +137,15 @@ def _pre_move_state(gate: np.ndarray, noise) -> np.ndarray:
     return noise(column[..., :, None] * column[..., None, :].conj())
 
 
-def _play(rho: np.ndarray, moves: list, noise, gate: np.ndarray):
-    """The four moves (each 2x2, or (n, 2, 2) for n states), the second noise map and
-    J+: returns the final state, its ValidationReport and the (..., 4) payoffs."""
+def _play(rho: np.ndarray, moves: list, noise, gate: np.ndarray = None):
+    """The four moves (each 2x2, or (n, 2, 2) for n states), the second noise map and,
+    when ``gate`` is given, J+: returns the final state, its ValidationReport and the
+    (..., 4) payoffs. evaluate passes no gate and scores the state before J+, which
+    moves them by rounding alone: J keeps every payoff projector, a unitary the trace,
+    hermiticity and spectrum."""
     rho = noise(linalg.conjugate(rho, linalg.tensor(moves)))
-    rho = linalg.conjugate(rho, gate.conj().swapaxes(-1, -2))
+    if gate is not None:
+        rho = linalg.conjugate(rho, gate.conj().swapaxes(-1, -2))
     report = linalg.validate_densities(rho)
     failed = np.flatnonzero(np.logical_not(report.ok))
     if len(failed):
@@ -185,7 +189,10 @@ def evaluate(kind: str, p, mu, gamma, strategies=None) -> Evaluation:
     equilibrium) with both noise stages at (p[i], mu[i]). This is the batched
     path for grid workloads: the same protocol and final-state checks as
     ``run_game``, which stays the single-point reference, with the channels
-    applied by ``channels.channel_maps`` instead of Kraus sums.
+    applied by ``channels.channel_maps`` instead of Kraus sums. It returns no
+    state, so it scores and checks the state before the closing J+: every
+    payoff projector commutes with J, and a unitary keeps the trace and the
+    spectrum, so the results differ from run_game's by rounding alone.
     """
     p, mu, gamma = np.broadcast_arrays(*(np.asarray(x, dtype=float)
                                          for x in (p, mu, gamma)))
@@ -199,7 +206,7 @@ def evaluate(kind: str, p, mu, gamma, strategies=None) -> Evaluation:
         angles = gamma[part]
         # the noise maps broadcast one gate over a chunk with one gamma
         gate = entangler(angles[0] if np.all(angles == angles[0]) else angles)
-        _, report, payoffs = _play(_pre_move_state(gate, noise), moves, noise, gate)
+        _, report, payoffs = _play(_pre_move_state(gate, noise), moves, noise)
         for out, value in zip(result, (payoffs, report.trace_residual, report.min_eigenvalue)):
             out[part] = value
     return result
@@ -255,6 +262,9 @@ def payoff_curve(kind: str, vary: str, fixed: dict, points: int = 101) -> list:
 # replayed points, and the search checks the gap at each of them
 _SCREEN_MARGIN = 1e-9
 
+# The search keeps grid_points**2 floats per table; this bound holds each to 8 MB
+_MAX_GRID_POINTS = 1001
+
 # I, iX, (I + iY)/sqrt(2) and (I - iX)/sqrt(2): the moves u at which the Bloch
 # vector m of u+Zu is +Z, -Z, +X and +Y
 _PROBE_MOVES = np.stack([linalg.pauli(0), 1j * linalg.pauli(1),
@@ -301,7 +311,8 @@ def best_response_search(config: GameConfig, player: int, grid_points: int):
     The payoff is c + b.m, affine in the Bloch vector m of u+Zu for the move
     u, so it depends on theta and alpha - beta alone; four plays on the Kraus
     path fix c and b. It scores the lattice one theta slab at a time, so
-    memory grows with grid_points**2: a first pass finds the best score, and
+    memory grows with grid_points**2, which ``_MAX_GRID_POINTS`` bounds: a
+    first pass finds the best score, and
     a second replays on the Kraus path, slab by slab, only the points within
     ``_SCREEN_MARGIN`` of it. The first maximum of the replayed payoffs wins.
     If any replayed payoff differs from its score by more than a quarter of
@@ -317,6 +328,8 @@ def _best_response(config: GameConfig, player: int, grid_points: int):
         raise ValueError(f"player must be 1..4, got {player}")
     if grid_points < 2:
         raise ValueError(f"need at least 2 grid points, got {grid_points}")
+    if grid_points > _MAX_GRID_POINTS:
+        raise ValueError(f"need at most {_MAX_GRID_POINTS} grid points, got {grid_points}")
     play = _slot(config, player)
     c, b_x, b_y, b_z = _payoff_form(play)
     thetas = np.linspace(0.0, np.pi, grid_points).tolist()

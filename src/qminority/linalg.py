@@ -151,11 +151,12 @@ class ValidationReport:
 
 def validate_densities(rho: np.ndarray) -> ValidationReport:
     """Residuals of every density matrix in a (..., d, d) stack, as arrays."""
-    herm = np.max(np.abs(rho - _dagger(rho)), axis=(-2, -1))
+    adjoint = _dagger(rho)
+    herm = np.max(np.abs(rho - adjoint), axis=(-2, -1))
     trace = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
     # eigvalsh wants an exactly hermitian input; symmetrize first so the
     # reported spectrum is meaningful even when hermiticity already failed
-    eigs = np.linalg.eigvalsh((rho + _dagger(rho)) / 2.0)
+    eigs = np.linalg.eigvalsh((rho + adjoint) / 2.0)
     return ValidationReport(herm, trace, eigs[..., 0])
 
 

@@ -425,6 +425,23 @@ class TestChannelMaps:
             assert np.count_nonzero(out[np.logical_not(off_band)]) > 0
             assert np.count_nonzero(out[off_band]) == 0
 
+    def test_damping_edges_on_non_hermitian_matrices(self):
+        # the map is linear on any matrix, so a non-hermitian input shows a transposed
+        # or unconjugated transfer that a density matrix hides; p and mu at 0 and 1
+        # take keep ** 0 and 0 ** 0, which must be 1. A single matrix broadcasts to
+        # every point, as _pre_move_state passes it for a chunk with one gamma
+        p, mu = (a.ravel() for a in np.meshgrid([0.0, 0.4, 1.0], [0.0, 0.6, 1.0],
+                                                indexing="ij"))
+        rng = np.random.default_rng(13)
+        states = rng.normal(size=(len(p), 16, 16)) + 1j * rng.normal(size=(len(p), 16, 16))
+        noise = channels.channel_maps("amplitude_damping", p, mu)
+        stacked, broadcast = noise(states), noise(states[0])
+        for i in range(len(p)):
+            kraus = channels.build_channel(
+                channels.ChannelSpec("amplitude_damping", p[i], mu[i]))
+            assert np.max(np.abs(stacked[i] - kraus(states[i]))) <= 1e-14
+            assert np.max(np.abs(broadcast[i] - kraus(states[0]))) <= 1e-14
+
     @pytest.mark.parametrize("kind", channels.KINDS)
     def test_single_state_broadcasts(self, kind):
         noise = channels.channel_maps(kind, np.array([0.0, 0.3, 1.0]),

@@ -1,5 +1,6 @@
 import argparse
 import gzip
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,14 +14,23 @@ import qminority
 from qminority import channels, cli, game, linalg
 
 
-# Every best-response call the benchmark can make, keyed by its arguments, with
-# the seed code's exit code and outputs
-RECORDED_BEST_RESPONSES = {
-    key: call
-    for kind in ("ad", "dep")
-    for key, call in json.loads(gzip.decompress(
-        (Path(__file__).resolve().parents[1] / "bench" / "reference"
-         / f"best-response-{kind}.json.gz").read_bytes())).items()}
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def recorded(workload):
+    """Every call the benchmark's workload can make, keyed by its arguments, with
+    the seed code's exit code and outputs."""
+    return json.loads(gzip.decompress(
+        (BENCH / "reference" / f"{workload}.json.gz").read_bytes()))
+
+
+# the benchmark's plans and output checks, loaded from bench/ without putting it on sys.path
+_spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+RECORDED_BEST_RESPONSES = {**recorded("best-response-ad"), **recorded("best-response-dep")}
+# the sweep, compare and validate calls, whose numbers all come from game.evaluate
+RECORDED_EVALUATIONS = {**recorded("figure-sweeps"), **recorded("validate-compare")}
 
 
 def run_cli(argv, capsys):
@@ -443,6 +453,24 @@ class TestBestResponse:
                               "--mu", "0.3", "--gamma", "pi/2", "--grid", "5"], capsys)
         assert (code, len(builds)) == (0, 1)
 
+    def test_grid_bound(self, capsys, monkeypatch):
+        # the bound passes the argument checks and reaches the search's setup, a
+        # stub here so that nothing is allocated; one point more is a usage error
+        class Reached(Exception):
+            pass
+
+        def setup(config, player):
+            raise Reached
+        monkeypatch.setattr(game, "_slot", setup)
+        argv = ["best-response", "--channel", "pf", "--p", "0.5", "--mu", "0",
+                "--gamma", "pi/2", "--grid"]
+        bound = game._MAX_GRID_POINTS
+        with pytest.raises(Reached):
+            cli.main(argv + [str(bound)])
+        code, out, err = run_cli(argv + [str(bound + 1)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: need at most {bound} grid points, got {bound + 1}\n"
+
     @pytest.mark.parametrize("flag,message", [
         (["--player", "7"], "error: player must be 1..4, got 7\n"),
         (["--grid", "1"], "error: need at least 2 grid points, got 1\n"),
@@ -451,6 +479,21 @@ class TestBestResponse:
         code, out, err = run_cli(["best-response", "--channel", "pf", "--p", "0.5",
                                   "--mu", "0", "--gamma", "pi/2"] + flag, capsys)
         assert (code, out, err) == (2, "", message)
+
+
+class TestRecordedEvaluations:
+    @pytest.mark.parametrize("key", sorted(RECORDED_EVALUATIONS))
+    def test_recorded_call(self, key, tmp_path, capsys):
+        # the benchmark's own check: numbers within workloads.PAYOFF_TOL of the
+        # recording, exact exit codes and PASS/FAIL tokens
+        argv = key.split()
+        out = tmp_path / "out"
+        if argv[0] in workloads.FILE_COMMANDS:
+            argv += ["--out", str(out)]
+        code, stdout, stderr = run_cli(argv, capsys)
+        got = {"code": code, "stdout": stdout, "stderr": stderr,
+               "out": out.read_text(encoding="utf-8") if out.exists() else None}
+        assert workloads.check(key.split(), got, RECORDED_EVALUATIONS[key]) == []
 
 
 class TestPayoff:

@@ -657,13 +657,14 @@ class TestEvaluate:
     ], ids=["single-gamma", "mixed-gamma"])
     def test_gate_per_chunk(self, kind, gamma, gate_shape, monkeypatch):
         # a chunk with one gamma plays one 16x16 gate, which the noise maps
-        # broadcast; a chunk with several plays one gate per point
-        shapes, play = [], game._play
+        # broadcast; a chunk with several plays one gate per point. evaluate
+        # uses the gate only to prepare the state, so it is recorded there
+        shapes, prepare = [], game._pre_move_state
 
-        def recorded_play(rho, moves, noise, gate):
+        def recorded_prepare(gate, noise):
             shapes.append(gate.shape)
-            return play(rho, moves, noise, gate)
-        monkeypatch.setattr(game, "_play", recorded_play)
+            return prepare(gate, noise)
+        monkeypatch.setattr(game, "_pre_move_state", recorded_prepare)
         profile = ((0.3, 0.2, -1.0), (1.0, -0.5, 0.4), game.ne_strategy(), (2.5, 1.2, 0.1))
         p, mu = np.linspace(0.0, 1.0, 5), np.array([0.0, 0.3, 0.5, 0.7, 1.0])
         assert_matches_run_game(kind, p, mu, np.array(gamma), profile)
