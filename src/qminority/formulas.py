@@ -19,6 +19,9 @@ from . import channels, game
 
 PF_TOLERANCE = 1e-10
 DEFAULT_TOLERANCE = 5e-3
+# compare holds every cell until the report is written: about 0.7 KB a cell as CSV
+# and 1.7 KB as JSON
+_MAX_GRID_CELLS = 100_000
 
 
 def _phase_flip(p: float, mu: float, gamma: float) -> float:
@@ -149,6 +152,9 @@ def compare(kind: str, grid: tuple[int, int], gamma: float) -> DiscrepancyReport
     p_points, mu_points = grid
     if p_points < 2 or mu_points < 2:
         raise ValueError(f"grid must be at least 2x2, got {grid}")
+    if p_points * mu_points > _MAX_GRID_CELLS:
+        raise ValueError(f"need at most {_MAX_GRID_CELLS} grid cells, "
+                         f"got {p_points * mu_points}")
     _check(kind, 0.0, 0.0, gamma)  # the grid lies in [0, 1] x [0, 1]
     tolerance = PF_TOLERANCE if kind == "phase_flip" else DEFAULT_TOLERANCE
     cells = [(p, mu) for p in np.linspace(0.0, 1.0, p_points).tolist()

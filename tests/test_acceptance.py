@@ -12,7 +12,9 @@ import time
 import numpy as np
 import pytest
 
+import reference
 from qminority import channels, cli, formulas, game, linalg
+from reference import random_density
 
 GAMMA_MAX = np.pi / 2
 GRID5 = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -22,12 +24,6 @@ def _ne_payoffs(kind: str, p: float, mu: float, gamma: float = GAMMA_MAX):
     spec = channels.ChannelSpec(kind, p, mu)
     cfg = game.GameConfig(gamma=gamma, noise_pre=spec, noise_post=spec)
     return game.run_game(cfg).payoffs
-
-
-def _random_density(rng: np.random.Generator, dim: int = 16) -> np.ndarray:
-    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = raw @ raw.conj().T
-    return rho / np.trace(rho).real
 
 
 def test_noiseless_ne_payoff():
@@ -73,42 +69,6 @@ def test_phase_flip_symmetry():
     assert elapsed < 5.0
 
 
-_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def _kron4(m: np.ndarray) -> np.ndarray:
-    return np.kron(np.kron(m, m), np.kron(m, m))
-
-
-def _reference_gate() -> np.ndarray:
-    # J(pi/2) = (I + i X^4) / sqrt(2)
-    return (np.eye(16) + 1j * _kron4(_PAULI_X)) / np.sqrt(2)
-
-
-def _flipped_reference(flip: np.ndarray) -> np.ndarray:
-    # explicit 16x16 pipeline, independent of the library: J, global flip,
-    # equilibrium moves, global flip, J^dagger, then the Minority rule
-    gate = _reference_gate()
-    theta, alpha, beta = np.pi / 2, -np.pi / 16, np.pi / 16
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    move = np.array([[np.exp(1j * alpha) * c, 1j * np.exp(1j * beta) * s],
-                     [1j * np.exp(-1j * beta) * s, np.exp(-1j * alpha) * c]])
-    psi = np.zeros(16, dtype=complex)
-    psi[0] = 1.0
-    for op in (gate, _kron4(flip), _kron4(move), _kron4(flip), gate.conj().T):
-        psi = op @ psi
-    probs = np.abs(psi) ** 2
-    payoffs = np.zeros(4)
-    for outcome, prob in enumerate(probs):
-        bits = [(outcome >> (3 - k)) & 1 for k in range(4)]
-        for k in range(4):
-            if bits.count(bits[k]) == 1:
-                payoffs[k] += prob
-    return payoffs
-
-
 def test_unitary_noise_limits():
     """Bit flip and bit-phase flip at p=1, mu=0 pay 0, not the noiseless 0.25.
 
@@ -118,16 +78,18 @@ def test_unitary_noise_limits():
     X^4 J|0000> = Y^4 J|0000> = i J^dagger|0000>: the game is played from
     the conjugate resource. The second flip commutes with J^dagger and only
     complements each outcome, which the Minority rule pays alike. The target
-    is an explicit unitary pipeline built here, without the library.
+    is the explicit pipeline of tests/reference.py, built without the library;
+    at p=1, mu=0 its one Kraus operator is the global flip.
     """
-    gate = _reference_gate()
-    for flip in (_PAULI_X, _PAULI_Y):
-        assert np.allclose(_kron4(flip) @ gate[:, 0], 1j * gate.conj().T[:, 0],
+    gate = reference.gate(GAMMA_MAX)
+    for flip in (reference.X, reference.Y):
+        assert np.allclose(reference.kron([flip] * 4) @ gate[:, 0], 1j * gate.conj().T[:, 0],
                            rtol=0.0, atol=1e-12)
-    # control: the same pipeline with Z^4 cancels to the noiseless payoff
-    assert np.allclose(_flipped_reference(_PAULI_Z), 0.25, rtol=0.0, atol=1e-10)
-    for kind, flip in (("bit_flip", _PAULI_X), ("bit_phase_flip", _PAULI_Y)):
-        expected = _flipped_reference(flip)
+    # control: the same pipeline with Z^4 (phase flip at p=1) cancels to the noiseless payoff
+    assert np.allclose(reference.payoffs("phase_flip", 1.0, 0.0, GAMMA_MAX), 0.25,
+                       rtol=0.0, atol=1e-10)
+    for kind in ("bit_flip", "bit_phase_flip"):
+        expected = reference.payoffs(kind, 1.0, 0.0, GAMMA_MAX)
         assert np.allclose(expected, 0.0, rtol=0.0, atol=1e-10)
         for value, target in zip(_ne_payoffs(kind, 1.0, 0.0), expected):
             assert value == pytest.approx(target, abs=1e-10)
@@ -139,7 +101,7 @@ def test_cptp_property_suite():
     rng = np.random.default_rng(20240817)
     probe = game.entangler(GAMMA_MAX)[:, 0]
     states = [np.outer(probe, probe.conj())]
-    states += [_random_density(rng) for _ in range(3)]
+    states += [random_density(rng) for _ in range(3)]
     for kind in channels.KINDS:
         for p in GRID5:
             for mu in GRID5:
@@ -153,47 +115,25 @@ def test_cptp_property_suite():
     assert elapsed < 10.0
 
 
-def _memoryless_reference(kind: str, p: float, rho: np.ndarray) -> np.ndarray:
-    # one qubit at a time through the single-qubit mixture, plain operator sum
-    alpha = channels.pauli_prob_vector(kind, p)
-    for qubit in range(channels.N_QUBITS):
-        acc = np.zeros_like(rho)
-        for i, weight in enumerate(alpha):
-            if weight == 0.0:
-                continue
-            mats = [np.eye(2)] * channels.N_QUBITS
-            mats[qubit] = linalg.pauli(i)
-            op = np.sqrt(weight) * linalg.tensor(mats)
-            acc += op @ rho @ op.conj().T
-        rho = acc
-    return rho
-
-
-def _correlated_reference(kind: str, p: float) -> list:
-    alpha = channels.pauli_prob_vector(kind, p)
-    return [np.sqrt(weight) * linalg.tensor([linalg.pauli(i)] * channels.N_QUBITS)
-            for i, weight in enumerate(alpha) if weight > 0.0]
-
-
 def test_memory_endpoints():
     """mu=0 reduces to the memoryless product channel, mu=1 to the small
     fully correlated set, checked entrywise on 20 random states."""
     start = time.perf_counter()
     rng = np.random.default_rng(20240818)
-    states = [_random_density(rng) for _ in range(20)]
+    states = [random_density(rng) for _ in range(20)]
     for kind in channels.PAULI_KINDS:
         for p in (0.3, 0.7):
             memoryless = channels.build_channel(channels.ChannelSpec(kind, p, 0.0))
             correlated = channels.build_channel(channels.ChannelSpec(kind, p, 1.0))
-            reference_ops = _correlated_reference(kind, p)
+            reference_ops = reference.kraus_stack(kind, p, 1.0)
             assert len(correlated) == len(reference_ops)
             assert 2 <= len(correlated) <= 4
             for rho in states:
                 got = linalg.apply_kraus(rho, memoryless)
-                want = _memoryless_reference(kind, p, rho)
+                want = reference.product_channel(kind, p, rho)
                 assert np.max(np.abs(got - want)) < 1e-10
                 got = linalg.apply_kraus(rho, correlated)
-                want = sum(op @ rho @ op.conj().T for op in reference_ops)
+                want = reference.operator_sum(rho, reference_ops)
                 assert np.max(np.abs(got - want)) < 1e-10
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -226,17 +166,6 @@ def test_overlap_report():
     assert elapsed < 10.0
 
 
-_SWEEPS = (
-    ("p", {"mu": "0", "gamma": "pi/2"}),
-    ("p", {"mu": "0.3", "gamma": "pi/2"}),
-    ("p", {"mu": "0.7", "gamma": "pi/2"}),
-    ("p", {"mu": "1", "gamma": "pi/2"}),
-    ("mu", {"p": "0.3", "gamma": "pi/2"}),
-    ("mu", {"p": "0.7", "gamma": "pi/2"}),
-    ("gamma", {"p": "0.3", "mu": "0.3"}),
-)
-
-
 def _read_sweep(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == cli.CSV_HEADER
@@ -253,7 +182,7 @@ def test_figure_sweeps(tmp_path):
     in [0, 1] and the five channels agree at the p=0 end of each p-sweep."""
     start = time.perf_counter()
     tables = {}
-    for index, (vary, fixed) in enumerate(_SWEEPS):
+    for index, (vary, fixed) in enumerate(reference.FIGURE_SWEEPS):
         for kind in channels.KINDS:
             out = tmp_path / f"sweep_{index}_{kind}.csv"
             argv = ["sweep", "--channel", kind, "--vary", vary,
@@ -266,7 +195,7 @@ def test_figure_sweeps(tmp_path):
             for row in rows:
                 assert 0.0 <= row[5] <= 1.0
             tables[(index, kind)] = rows
-    for index, (vary, _) in enumerate(_SWEEPS):
+    for index, (vary, _) in enumerate(reference.FIGURE_SWEEPS):
         if vary != "p":
             continue
         for player in range(1, 5):

@@ -1,28 +1,16 @@
 import itertools
-from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from qminority import channels, linalg
+from reference import operator_sum, random_density
 
 
 GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
-
-
-def operator_sum(rho, ops):
-    out = np.zeros_like(rho)
-    for a in ops:
-        out += a @ rho @ a.conj().T
-    return out
-
-
-def random_density(rng, dim=16):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = a @ a.conj().T
-    return h / np.trace(h)
 
 
 class TestPauliProbVector:
@@ -105,18 +93,8 @@ class TestMemoryKraus:
         # the oracle applies them one qubit at a time
         rng = np.random.default_rng(10)
         for kind in channels.PAULI_KINDS:
-            alpha = channels.pauli_prob_vector(kind, 0.37)
-            single = [np.sqrt(a) * linalg.pauli(i)
-                      for i, a in enumerate(alpha) if a > 0]
             rho = random_density(rng)
-            expected = rho
-            for qubit in range(4):
-                ops = []
-                for s in single:
-                    factors = [np.eye(2, dtype=complex)] * 4
-                    factors[qubit] = s
-                    ops.append(linalg.tensor(factors))
-                expected = operator_sum(expected, ops)
+            expected = reference.product_channel(kind, 0.37, rho)
             got = linalg.apply_kraus(rho, channels.pauli_memory_kraus(kind, 0.37, 0.0))
             assert np.max(np.abs(got - expected)) < 1e-13
 
@@ -124,7 +102,7 @@ class TestMemoryKraus:
         # mu=1 keeps only the perfectly correlated error patterns
         ks = channels.pauli_memory_kraus("bit_flip", 0.5, 1.0)
         expected = [np.sqrt(0.5) * np.eye(16),
-                    np.sqrt(0.5) * linalg.tensor([linalg.pauli(1)] * 4)]
+                    np.sqrt(0.5) * reference.kron([reference.X] * 4)]
         got = sorted(ks, key=lambda op: abs(op[0, 0]), reverse=True)
         for g, e in zip(got, expected):
             assert np.allclose(g, e, atol=1e-14)
@@ -133,23 +111,20 @@ class TestMemoryKraus:
         ks = channels.pauli_memory_kraus("depolarizing", 0.4, 1.0)
         rng = np.random.default_rng(11)
         rho = random_density(rng)
-        expected = np.zeros_like(rho)
-        for i, w in enumerate((0.7, 0.1, 0.1, 0.1)):
-            g = linalg.tensor([linalg.pauli(i)] * 4)
-            expected += w * g @ rho @ g.conj().T
+        expected = operator_sum(rho, [np.sqrt(w) * reference.kron([s] * 4)
+                                      for w, s in zip((0.7, 0.1, 0.1, 0.1), reference.PAULIS)])
         assert np.allclose(linalg.apply_kraus(rho, ks), expected, atol=1e-13)
 
     def test_population_chain_statistics(self):
         # on |0000><0000| a bit-flip chain writes its error pattern straight
-        # into the output bitstring, so the diagonal must reproduce the
-        # Markov pattern probabilities computed here with plain scalars
+        # into the output bitstring (I is 0, X is 1), so the diagonal must
+        # reproduce the Markov pattern probabilities of the plain scalar chain
         p, mu = 0.3, 0.6
-        out = linalg.apply_kraus(_ket0000(), channels.pauli_memory_kraus("bit_flip", p, mu))
-        marg = {0: 1 - p, 1: p}
+        out = linalg.apply_kraus(reference.basis_state(0),
+                                 channels.pauli_memory_kraus("bit_flip", p, mu))
+        alpha = reference.mixture("bit_flip", p)
         for bits in itertools.product((0, 1), repeat=4):
-            prob = marg[bits[3]]
-            for m in range(3):
-                prob *= (1 - mu) * marg[bits[m]] + (mu if bits[m] == bits[m + 1] else 0.0)
+            prob = reference.chain_weight(alpha, mu, bits)
             idx = bits[0] * 8 + bits[1] * 4 + bits[2] * 2 + bits[3]
             assert out[idx, idx].real == pytest.approx(prob, abs=1e-14)
 
@@ -168,12 +143,6 @@ class TestMemoryKraus:
         assert np.max(np.abs(left - right)) < 1e-13
 
 
-def _ket0000():
-    rho = np.zeros((16, 16), dtype=complex)
-    rho[0, 0] = 1.0
-    return rho
-
-
 class TestAmplitudeDamping:
     def test_uncorrelated_count(self):
         assert len(channels.ad_uncorrelated_kraus(0.3)) == 16
@@ -187,9 +156,7 @@ class TestAmplitudeDamping:
     def test_uncorrelated_populations(self):
         # each excited qubit decays independently with probability p
         p = 0.3
-        rho = np.zeros((16, 16), dtype=complex)
-        rho[15, 15] = 1.0
-        out = operator_sum(rho, channels.ad_uncorrelated_kraus(p))
+        out = operator_sum(reference.basis_state(15), channels.ad_uncorrelated_kraus(p))
         for i in range(16):
             ones = bin(i).count("1")
             expected = (1 - p) ** ones * p ** (4 - ones)
@@ -296,53 +263,11 @@ class TestKrausPathProperties:
         assert linalg.validate_density(linalg.apply_kraus(rho, ks)).ok
 
 
-# Reference stacks built the plain way: one explicit np.kron chain per error
-# pattern, weights multiplied qubit by qubit. The library builds the same
-# stacks from fixed tables by broadcasting; the best-response lattice has
-# exact ties (alpha = -pi and +pi), so the two must agree bit for bit, not
-# merely within a tolerance.
-_PAULIS = [np.array(m, dtype=complex) for m in
-           ([[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])]
-_PATTERNS = list(itertools.product(range(4), repeat=4))
-_STRINGS = {idx: np.kron(np.kron(np.kron(_PAULIS[idx[0]], _PAULIS[idx[1]]),
-                                 _PAULIS[idx[2]]), _PAULIS[idx[3]])
-            for idx in _PATTERNS}
+# The library builds its stacks from fixed tables by broadcasting; the
+# best-response lattice has exact ties (alpha = -pi and +pi), so they must agree
+# with the plain per-pattern np.kron stacks of tests/reference.py bit for bit,
+# not merely within a tolerance.
 EXACT_GRID = [float(x) for x in np.linspace(0.0, 1.0, 11)]
-
-
-def _chain_weight(alpha, mu, idx):
-    # alpha[i] and mu are scalars, or arrays over points
-    w = alpha[idx[3]]
-    for m in range(3):
-        w = w * ((1.0 - mu) * alpha[idx[m]] + (mu if idx[m] == idx[m + 1] else 0.0))
-    return w
-
-
-def _reference_pauli_stack(kind, p, mu):
-    alpha = channels.pauli_prob_vector(kind, p)
-    ops = []
-    for idx in _PATTERNS:
-        w = _chain_weight(alpha, mu, idx)
-        if w > 0.0:
-            ops.append(np.sqrt(w) * _STRINGS[idx])
-    return np.stack(ops)
-
-
-def _reference_ad_stack(p, mu):
-    a0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - p)]], dtype=complex)
-    a1 = np.array([[0.0, np.sqrt(p)], [0.0, 0.0]], dtype=complex)
-    chi = np.arcsin(np.sqrt(p))
-    a00 = np.eye(16, dtype=complex)
-    a00[0, 0] = np.cos(chi)
-    a11 = np.zeros((16, 16), dtype=complex)
-    a11[15, 0] = np.sin(chi)
-    ops = []
-    for combo in itertools.product((a0, a1), repeat=4):
-        op = np.kron(np.kron(np.kron(combo[0], combo[1]), combo[2]), combo[3])
-        if np.max(np.abs(op)) > 0.0:
-            ops.append(np.sqrt(1.0 - mu) * op)
-    ops += [np.sqrt(mu) * a00, np.sqrt(mu) * a11]
-    return np.stack([a for a in ops if np.max(np.abs(a)) > 0.0])
 
 
 class TestExactStacks:
@@ -350,10 +275,7 @@ class TestExactStacks:
     def test_bit_identical_to_plain_kron(self, kind):
         for p in EXACT_GRID:
             for mu in EXACT_GRID:
-                if kind == "amplitude_damping":
-                    expected = _reference_ad_stack(p, mu)
-                else:
-                    expected = _reference_pauli_stack(kind, p, mu)
+                expected = reference.kraus_stack(kind, p, mu)
                 got = channels.build_channel(channels.ChannelSpec(kind, p, mu)).stack
                 assert got.shape == expected.shape, (kind, p, mu)
                 assert np.array_equal(got, expected), (kind, p, mu)
@@ -366,8 +288,9 @@ class TestExactStacks:
             p, mu = np.linspace(0.0, 1.0, 101), np.linspace(1.0, 0.0, 101)
         else:
             p, mu = np.random.default_rng(16).random((2, 1000))
-        alpha = np.array([channels.pauli_prob_vector(kind, x) for x in p.tolist()]).T
-        expected = np.stack([_chain_weight(alpha, mu, idx) for idx in _PATTERNS], axis=1)
+        alpha = reference.mixture(kind, p)
+        expected = np.stack([reference.chain_weight(alpha, mu, idx)
+                             for idx in reference.PATTERNS], axis=1)
         assert channels.pauli_memory_weights(kind, p, mu).tobytes() == expected.tobytes()
 
 
@@ -375,10 +298,7 @@ class TestExactStacks:
 def pauli_signs():
     """The 256 Pauli strings in itertools.product order, built with np.kron, and
     the signs s[a, b] = +-1 of P_a P_b P_a+ = s[a, b] P_b."""
-    singles = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
-               np.diag([1, -1])]
-    strings = np.array([reduce(np.kron, [singles[i] for i in pattern])
-                        for pattern in itertools.product(range(4), repeat=4)], dtype=complex)
+    strings = reference.PAULI_STRINGS
     signs = np.array([np.einsum("bij,bij->b", strings.conj(), a @ strings @ a.conj().T).real
                       for a in strings]) / 16
     assert np.array_equal(np.abs(signs), np.ones((256, 256)))

@@ -1,5 +1,4 @@
 import argparse
-import gzip
 import importlib.util
 import json
 import os
@@ -11,26 +10,24 @@ import numpy as np
 import pytest
 
 import qminority
-from qminority import channels, cli, game, linalg
-
-
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-def recorded(workload):
-    """Every call the benchmark's workload can make, keyed by its arguments, with
-    the seed code's exit code and outputs."""
-    return json.loads(gzip.decompress(
-        (BENCH / "reference" / f"{workload}.json.gz").read_bytes()))
-
+from qminority import channels, cli, formulas, game, linalg
+from reference import BENCH, FIGURE_SWEEPS, recorded
 
 # the benchmark's plans and output checks, loaded from bench/ without putting it on sys.path
 _spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
 workloads = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
-RECORDED_BEST_RESPONSES = {**recorded("best-response-ad"), **recorded("best-response-dep")}
+RECORDED_BEST_RESPONSES = recorded("best-response-ad", "best-response-dep")
 # the sweep, compare and validate calls, whose numbers all come from game.evaluate
-RECORDED_EVALUATIONS = {**recorded("figure-sweeps"), **recorded("validate-compare")}
+RECORDED_EVALUATIONS = recorded("figure-sweeps", "validate-compare")
+
+
+class Reached(Exception):
+    """Raised by a stub that stands in for the first step that allocates."""
+
+
+def reached(*args):
+    raise Reached
 
 
 def run_cli(argv, capsys):
@@ -183,18 +180,6 @@ class TestSweep:
                                 "--mu", "0", "--gamma", "0", "--points", "2"], capsys)
         assert code == 0
         assert out.splitlines()[1].startswith("phase_flip,")
-
-
-# The seven (vary, fixed) parameterisations of the paper's figures, as CLI flags
-FIGURE_SWEEPS = (
-    ("p", {"mu": "0", "gamma": "pi/2"}),
-    ("p", {"mu": "0.3", "gamma": "pi/2"}),
-    ("p", {"mu": "0.7", "gamma": "pi/2"}),
-    ("p", {"mu": "1", "gamma": "pi/2"}),
-    ("mu", {"p": "0.3", "gamma": "pi/2"}),
-    ("mu", {"p": "0.7", "gamma": "pi/2"}),
-    ("gamma", {"p": "0.3", "mu": "0.3"}),
-)
 
 
 def whole_curve_text(channel, vary, fixed, points, fmt):
@@ -393,6 +378,22 @@ class TestCompare:
         assert code == 0
         assert len(out.splitlines()) == 1 + 5 * 3
 
+    def test_grid_bound(self, capsys, monkeypatch):
+        # the bound passes the argument checks and reaches the simulation, a stub
+        # here so that nothing is allocated; one cell more is a usage error
+        monkeypatch.setattr(game, "evaluate", reached)
+        bound = formulas._MAX_GRID_CELLS
+
+        def argv(cells):
+            mu_points = next(k for k in range(2, cells) if cells % k == 0)
+            return ["compare", "--channel", "pf", "--p-points", str(cells // mu_points),
+                    "--mu-points", str(mu_points)]
+        with pytest.raises(Reached):
+            cli.main(argv(bound))
+        code, out, err = run_cli(argv(bound + 1), capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: need at most {bound} grid cells, got {bound + 1}\n"
+
     def test_injectivity_of_grid_flags(self, capsys):
         code, out, _ = run_cli(["compare", "--channel", "bf", "--p-points", "3",
                                 "--mu-points", "2", "--format", "json"], capsys)
@@ -456,12 +457,7 @@ class TestBestResponse:
     def test_grid_bound(self, capsys, monkeypatch):
         # the bound passes the argument checks and reaches the search's setup, a
         # stub here so that nothing is allocated; one point more is a usage error
-        class Reached(Exception):
-            pass
-
-        def setup(config, player):
-            raise Reached
-        monkeypatch.setattr(game, "_slot", setup)
+        monkeypatch.setattr(game, "_slot", reached)
         argv = ["best-response", "--channel", "pf", "--p", "0.5", "--mu", "0",
                 "--gamma", "pi/2", "--grid"]
         bound = game._MAX_GRID_POINTS

@@ -1,15 +1,14 @@
 import dataclasses
-import gzip
 import itertools
 import json
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from qminority import channels, game, linalg
 
 
@@ -60,7 +59,7 @@ class TestEntangler:
     @pytest.mark.parametrize("gamma", np.linspace(0, np.pi / 2, 7))
     def test_matches_matrix_exponential(self, gamma):
         # oracle: exponentiate i*gamma/2 * X^(x)4 through its eigenbasis
-        x4 = linalg.tensor([linalg.pauli(1)] * 4)
+        x4 = reference.kron([reference.X] * 4)
         evals, evecs = np.linalg.eigh(x4)
         expm = evecs @ np.diag(np.exp(1j * gamma / 2 * evals)) @ evecs.conj().T
         assert np.max(np.abs(game.entangler(gamma) - expm)) < 1e-14
@@ -106,7 +105,7 @@ class TestStrategyUnitary:
 
     def test_full_flip(self):
         u = game.strategy_unitary(game.StrategyTriple(np.pi, 0.0, 0.0))
-        assert np.allclose(u, 1j * linalg.pauli(1), atol=1e-15)
+        assert np.allclose(u, 1j * reference.X, atol=1e-15)
 
     def test_structure(self):
         theta, alpha, beta = 1.1, 0.7, -2.0
@@ -134,14 +133,8 @@ class TestMinorityPayoff:
     def test_truth_table(self):
         # sole minority: exactly one player differs from the other three
         for outcome in range(16):
-            bits = [(outcome >> (3 - i)) & 1 for i in range(4)]
-            ones = sum(bits)
             for player in (1, 2, 3, 4):
-                expected = 0.0
-                if ones == 1 and bits[player - 1] == 1:
-                    expected = 1.0
-                if ones == 3 and bits[player - 1] == 0:
-                    expected = 1.0
+                expected = reference.minority(outcome, player)
                 assert game.minority_payoff(outcome, player) == expected
 
     def test_examples(self):
@@ -380,17 +373,8 @@ class TestBestResponseSearch:
         spec = channels.ChannelSpec(kind, p, mu)
         cfg = game.GameConfig(gamma=gamma, noise_pre=spec, noise_post=spec,
                               strategies=None if others is None else (others,) * 4)
-        best, best_payoff = None, -1.0
-        thetas = np.linspace(0.0, np.pi, grid).tolist()
-        phases = np.linspace(-np.pi, np.pi, grid).tolist()
-        for triple in itertools.product(thetas, phases, phases):
-            profile = (game.StrategyTriple(*triple),) + cfg.strategies[1:]
-            payoff = game.run_game(dataclasses.replace(cfg, strategies=profile)).payoffs[0]
-            if payoff > best_payoff:
-                best, best_payoff = triple, payoff
-        found, found_payoff = game.best_response_search(cfg, player=1, grid_points=grid)
-        assert tuple(found) == best
-        assert found_payoff == best_payoff
+        found = game.best_response_search(cfg, player=1, grid_points=grid)
+        assert found == per_point_best(cfg, 1, grid)
 
     # The seed code's outputs for the benchmark's default best-response calls
     # (bench/reference/best-response-{ad,dep}.json.gz). The depolarizing
@@ -528,13 +512,6 @@ def slot_player(kind, p, mu, gamma, player, others):
     return play, game._payoff_form(play)
 
 
-def bloch_of_z(u):
-    """The Bloch vector m of u+Zu for an (n, 2, 2) stack of moves."""
-    zu = u.conj().swapaxes(-1, -2) @ linalg.pauli(3) @ u
-    return np.stack([np.trace(zu @ linalg.pauli(k), axis1=-2, axis2=-1).real / 2
-                     for k in (1, 2, 3)], axis=-1)
-
-
 def random_triples(rng, n):
     return [game.StrategyTriple(rng.uniform(0.0, np.pi), *rng.uniform(-np.pi, np.pi, 2))
             for _ in range(n)]
@@ -552,10 +529,7 @@ def random_slot(kind, seed):
 # Every best-response call the benchmark can make, with the seed code's outputs
 RECORDED_BEST_RESPONSES = {
     key: json.loads(call["out"])
-    for kind in ("ad", "dep")
-    for key, call in json.loads(gzip.decompress(
-        (Path(__file__).resolve().parents[1] / "bench" / "reference"
-         / f"best-response-{kind}.json.gz").read_bytes())).items()}
+    for key, call in reference.recorded("best-response-ad", "best-response-dep").items()}
 
 _CHANNEL_NAMES = {"ad": "amplitude_damping", "dep": "depolarizing"}
 
@@ -575,7 +549,7 @@ class TestPayoffForm:
     @pytest.mark.parametrize("kind", channels.KINDS)
     def test_affine_in_bloch_vector(self, kind, seed):
         play, form, stack, _ = random_slot(kind, seed)
-        assert np.abs(form[0] + bloch_of_z(stack) @ form[1:] - play(stack)).max() <= 1e-15
+        assert np.abs(form[0] + reference.bloch_of_z(stack) @ form[1:] - play(stack)).max() <= 1e-15
 
     @pytest.mark.parametrize("key", sorted(RECORDED_BEST_RESPONSES))
     def test_bounds_recorded_best_response(self, key):
@@ -592,18 +566,6 @@ class TestPayoffForm:
         move = game.strategy_unitary(game.StrategyTriple(
             np.arccos(np.clip(m[2], -1.0, 1.0)), np.arctan2(m[0], -m[1]), 0.0))
         assert abs(play(move[None])[0] - top) <= 1e-15
-
-# The seven (vary, fixed) parameterisations of the paper's figures
-FIGURE_SWEEPS = (
-    ("p", {"mu": 0.0, "gamma": np.pi / 2}),
-    ("p", {"mu": 0.3, "gamma": np.pi / 2}),
-    ("p", {"mu": 0.7, "gamma": np.pi / 2}),
-    ("p", {"mu": 1.0, "gamma": np.pi / 2}),
-    ("mu", {"p": 0.3, "gamma": np.pi / 2}),
-    ("mu", {"p": 0.7, "gamma": np.pi / 2}),
-    ("gamma", {"p": 0.3, "mu": 0.3}),
-)
-
 
 def assert_matches_run_game(kind, p, mu, gamma, strategies=None, tol=1e-13):
     """evaluate against run_game point by point: payoffs, and the trace and
@@ -627,14 +589,8 @@ class TestEvaluate:
     def test_figure_sweep_grid(self, kind):
         # all seven sweeps in one call: 707 points over several chunks and
         # mixed gamma values
-        axes = {"p": [], "mu": [], "gamma": []}
-        for vary, fixed in FIGURE_SWEEPS:
-            high = np.pi / 2 if vary == "gamma" else 1.0
-            for axis in axes:
-                values = (np.linspace(0.0, high, 101) if axis == vary
-                          else np.full(101, fixed[axis]))
-                axes[axis].append(values)
-        p, mu, gamma = (np.concatenate(axes[a]) for a in ("p", "mu", "gamma"))
+        p, mu, gamma = (np.concatenate(axis) for axis in zip(
+            *(reference.sweep_axes(vary, fixed) for vary, fixed in reference.FIGURE_SWEEPS)))
         assert len(p) > 2 * game.CHUNK_POINTS
         assert_matches_run_game(kind, p, mu, gamma)
 
@@ -642,7 +598,10 @@ class TestEvaluate:
     def test_compare_grid(self, kind):
         p, mu = (a.ravel() for a in np.meshgrid(np.linspace(0, 1, 11),
                                                 np.linspace(0, 1, 5), indexing="ij"))
-        assert_matches_run_game(kind, p, mu, np.full(len(p), np.pi / 2))
+        result = assert_matches_run_game(kind, p, mu, np.full(len(p), np.pi / 2))
+        # and against the independent model, the payoff oracle from outside the package
+        want = [reference.payoffs(kind, *point, np.pi / 2) for point in zip(p, mu)]
+        assert np.abs(result.payoffs - want).max() <= 1e-12
 
     def test_phase_flip_grid(self):
         p, mu, gamma = (a.ravel() for a in np.meshgrid(

@@ -9,14 +9,8 @@ checks needs a noise channel.
 import numpy as np
 import pytest
 
-from qminority import game, linalg
-
-
-def bloch_of_z(u):
-    """The Bloch vector m of u+Zu, for one 2x2 move or an (n, 2, 2) stack."""
-    zu = u.conj().swapaxes(-1, -2) @ linalg.pauli(3) @ u
-    return np.stack([np.trace(zu @ linalg.pauli(k), axis1=-2, axis2=-1).real / 2
-                     for k in (1, 2, 3)], axis=-1)
+from qminority import game
+from reference import bloch_of_z
 
 
 def test_payoff_table_is_complement_symmetric():

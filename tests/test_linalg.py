@@ -1,24 +1,10 @@
-from functools import reduce
-
 import numpy as np
 import pytest
 
 import qminority
+import reference
 from qminority import channels, game, linalg
-
-
-def operator_sum(rho, ops):
-    # independent oracle: direct summation, no vectorization tricks
-    out = np.zeros_like(rho)
-    for a in ops:
-        out += a @ rho @ a.conj().T
-    return out
-
-
-def random_density(rng, dim=16):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = a @ a.conj().T
-    return h / np.trace(h)
+from reference import operator_sum, random_density
 
 
 def random_unitary(rng, dim=16):
@@ -30,10 +16,8 @@ def random_unitary(rng, dim=16):
 
 class TestPauli:
     def test_values(self):
-        assert np.array_equal(linalg.pauli(0), np.eye(2))
-        assert np.array_equal(linalg.pauli(1), np.array([[0, 1], [1, 0]]))
-        assert np.array_equal(linalg.pauli(2), np.array([[0, -1j], [1j, 0]]))
-        assert np.array_equal(linalg.pauli(3), np.array([[1, 0], [0, -1]]))
+        for i, expected in enumerate(reference.PAULIS):
+            assert np.array_equal(linalg.pauli(i), expected)
 
     @pytest.mark.parametrize("i", range(4))
     def test_hermitian_involution(self, i):
@@ -88,12 +72,9 @@ class TestConjugate:
 
     def test_flip_all(self):
         # X on every qubit sends |0000><0000| to |1111><1111|
-        rho = np.zeros((16, 16), dtype=complex)
-        rho[0, 0] = 1.0
-        x4 = linalg.tensor([linalg.pauli(1)] * 4)
-        expected = np.zeros((16, 16), dtype=complex)
-        expected[15, 15] = 1.0
-        assert np.allclose(linalg.conjugate(rho, x4), expected, atol=1e-14)
+        x4 = reference.kron([reference.X] * 4)
+        assert np.allclose(linalg.conjugate(reference.basis_state(0), x4),
+                           reference.basis_state(15), atol=1e-14)
 
     def test_rejects_nonunitary(self):
         rho = np.eye(16, dtype=complex) / 16
@@ -122,21 +103,14 @@ class TestApplyKraus:
         # all 256 four-fold Pauli products with uniform weight form the
         # (depolarizing)^4 channel at full strength: everything -> I/16
         rng = np.random.default_rng(3)
-        ops = []
-        for idx in np.ndindex(4, 4, 4, 4):
-            mats = [linalg.pauli(i) for i in idx]
-            ops.append(linalg.tensor(mats) / 16.0)
+        ops = reference.PAULI_STRINGS / 16.0
         rho = random_density(rng)
         assert np.allclose(linalg.apply_kraus(rho, ops), np.eye(16) / 16, atol=1e-12)
 
     def test_deterministic_flip(self):
-        rho = np.zeros((16, 16), dtype=complex)
-        rho[0, 0] = 1.0
-        ops = [linalg.tensor([linalg.pauli(1)] * 4)]
-        out = linalg.apply_kraus(rho, ops)
-        expected = np.zeros((16, 16), dtype=complex)
-        expected[15, 15] = 1.0
-        assert np.allclose(out, expected, atol=1e-14)
+        ops = [reference.kron([reference.X] * 4)]
+        out = linalg.apply_kraus(reference.basis_state(0), ops)
+        assert np.allclose(out, reference.basis_state(15), atol=1e-14)
 
     def test_rejects_incomplete_set(self):
         rho = np.eye(16, dtype=complex) / 16
@@ -259,22 +233,20 @@ class TestValidateDensity:
         assert abs(report.min_eigenvalue + 1.0 / 15) < 1e-12
 
     def test_pure_state(self):
-        rho = np.zeros((16, 16), dtype=complex)
-        rho[0, 0] = 1.0
-        report = linalg.validate_density(rho)
+        report = linalg.validate_density(reference.basis_state(0))
         assert report.ok
         assert report.min_eigenvalue >= 0.0
 
 
 class TestTensorStacks:
-    # np.kron has no notion of a stack: reduce(np.kron) over (m, 2, 2) arrays
+    # np.kron has no notion of a stack: a np.kron chain over (m, 2, 2) arrays
     # gives an (m^k, ...) block matrix, so the oracle runs it row by row
 
     def test_stack_matches_rowwise_kron(self):
         rng = np.random.default_rng(5)
         factors = [rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2))
                    for _ in range(4)]
-        expected = np.stack([reduce(np.kron, row) for row in zip(*factors)])
+        expected = np.stack([reference.kron(row) for row in zip(*factors)])
         got = linalg.tensor(factors)
         assert got.shape == (6, 16, 16)
         assert np.array_equal(got, expected)
@@ -286,7 +258,7 @@ class TestTensorStacks:
         got = linalg.tensor([x, stack, z])
         assert got.shape == (3, 8, 8)
         for row, op in zip(got, stack):
-            assert np.array_equal(row, reduce(np.kron, [x, op, z]))
+            assert np.array_equal(row, reference.kron([x, op, z]))
 
     def test_random_moves_match_kron(self):
         rng = np.random.default_rng(7)
@@ -294,7 +266,7 @@ class TestTensorStacks:
             moves = [game.strategy_unitary(game.StrategyTriple(
                 rng.uniform(0.0, np.pi), *rng.uniform(-np.pi, np.pi, size=2)))
                 for _ in range(4)]
-            assert np.array_equal(linalg.tensor(moves), reduce(np.kron, moves))
+            assert np.array_equal(linalg.tensor(moves), reference.kron(moves))
 
 
 class TestKrausSet:
