@@ -150,7 +150,7 @@ def channel_maps(kind: str, p: np.ndarray, mu: np.ndarray):
     """The channel at each of n (p, mu) points, as one map on (n, 16, 16) stacks.
 
     The batched counterpart of ``build_channel`` plus ``linalg.apply_kraus``.
-    A map takes any state stack that broadcasts to (n, 16, 16). A Pauli channel
+    A map takes any state stack that broadcasts with (n, 16, 16). A Pauli channel
     is diagonal in the Walsh transform of each band (see ``_BANDS``). Amplitude
     damping is (1 - mu) times the single-qubit pair on each qubit plus mu times
     the collective pair. Each point is checked to be CPTP, and ValueError raised
@@ -193,9 +193,9 @@ def _damping_maps(p: np.ndarray, mu: np.ndarray):
     transfer = mu * sin ** 2
 
     def apply(rho: np.ndarray) -> np.ndarray:
-        rho = np.broadcast_to(rho, (len(p),) + rho.shape[-2:])
+        rho = np.broadcast_to(rho, np.broadcast_shapes(rho.shape, (len(p), 16, 16)))
         out = rho.copy()
-        bits = out.reshape((len(p),) + (2,) * (2 * N_QUBITS))
+        bits = out.reshape((len(out),) + (2,) * (2 * N_QUBITS))
         for q in range(N_QUBITS):
             # view with qubit q's row and column bits in front
             block = np.moveaxis(bits, (1 + q, 1 + N_QUBITS + q), (1, 2))

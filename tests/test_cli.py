@@ -454,6 +454,17 @@ class TestBestResponse:
                               "--mu", "0.3", "--gamma", "pi/2", "--grid", "5"], capsys)
         assert (code, len(builds)) == (0, 1)
 
+    def test_kraus_applies(self, capsys, monkeypatch):
+        # one move per 256-operator chunk: the pre-move state, the 10 screened
+        # candidates and ne_payoff; the form's 4 probes play on the channel maps
+        applies = []
+        apply = linalg.apply_kraus
+        monkeypatch.setattr(linalg, "apply_kraus",
+                            lambda rho, kraus: applies.append(kraus) or apply(rho, kraus))
+        code, _, _ = run_cli(["best-response", "--channel", "dep", "--p", "0.3",
+                              "--mu", "0.3", "--gamma", "pi/2", "--grid", "9"], capsys)
+        assert (code, len(applies)) == (0, 12)
+
     def test_grid_bound(self, capsys, monkeypatch):
         # the bound passes the argument checks and reaches the search's setup, a
         # stub here so that nothing is allocated; one point more is a usage error

@@ -340,16 +340,40 @@ class TestBestResponseSearch:
         # both stages match, so one Kraus set serves them both, and it and the
         # pre-move state are shared by the search; only the second noise stage
         # runs, once per chunk of played moves. With 16 bit-flip operators a
-        # chunk is (CHUNK_POINTS // 4) // 16 = 4 moves, so the pre-move state,
-        # the 4 form probes and the 7 screened candidates, all in the
-        # theta = pi/2 slab, make 1 + ceil(4 / 4) + ceil(7 / 4) = 4
+        # chunk is (CHUNK_POINTS // 4) // 16 = 4 moves, and the form probes stay on
+        # the Kraus path, so the pre-move state, the 4 form probes and the 7
+        # screened candidates, all in the theta = pi/2 slab, make
+        # 1 + ceil(4 / 4) + ceil(7 / 4) = 4
         game.best_response_search(ne_config("bit_flip", 0.2, 0.5), player=1,
                                   grid_points=5)
         assert construction_counts == {"build": 1, "apply": 4}
 
+    @pytest.mark.parametrize("p,mu,grid,player,others", [
+        (0.3, 0.3, 9, 1, None),
+        (0.7, 0.9, 5, 3, (1.0, 0.5, -0.3)),
+    ])
+    def test_kraus_applies_are_the_replays(self, p, mu, grid, player, others,
+                                           construction_counts):
+        # 256 depolarizing operators exceed a chunk's CHUNK_POINTS // 4 Kraus products,
+        # so a chunk is one move and the form's probes play on the channel maps: the
+        # Kraus set enters once for the pre-move state and once for each lattice
+        # point within the margin of the best score
+        spec = channels.ChannelSpec("depolarizing", p, mu)
+        cfg = game.GameConfig(gamma=np.pi / 2, noise_pre=spec, noise_post=spec,
+                              strategies=None if others is None else (others,) * 4)
+        game.best_response_search(cfg, player=player, grid_points=grid)
+        applies = construction_counts["apply"]
+        form = game._payoff_form(game._slot(cfg, player))
+        lattice = np.stack([game.strategy_unitary(s) for s in lattice_points(grid)])
+        scores = form[0] + reference.bloch_of_z(lattice) @ form[1:]
+        candidates = np.count_nonzero(scores >= scores.max() - game._SCREEN_MARGIN)
+        assert 1 < candidates < len(lattice)
+        assert applies == 1 + candidates
+
     @pytest.mark.parametrize("kind,pre,post,player", [
         ("bit_flip", (0.2, 0.5), (0.4, 0.5), 1),
         ("amplitude_damping", (0.3, 0.2), (0.6, 0.7), 2),
+        ("depolarizing", (0.1, 0.9), (0.3, 0.3), 4),
     ])
     def test_unequal_stages(self, kind, pre, post, player, construction_counts):
         # each stage gets its own Kraus set, and the search stays exhaustive
@@ -409,7 +433,7 @@ class TestBestResponseSearch:
         cfg = ne_config("bit_flip", 0.2, 0.5)
         played, play, form = [], game._play, game._payoff_form
 
-        def recorded_play(rho, moves, noise, gate):
+        def recorded_play(rho, moves, noise, gate=None):
             played.append(moves[0])
             return play(rho, moves, noise, gate)
         monkeypatch.setattr(game, "_play", recorded_play)
@@ -550,6 +574,20 @@ class TestPayoffForm:
     def test_affine_in_bloch_vector(self, kind, seed):
         play, form, stack, _ = random_slot(kind, seed)
         assert np.abs(form[0] + reference.bloch_of_z(stack) @ form[1:] - play(stack)).max() <= 1e-15
+
+    @pytest.mark.parametrize("stages", ["equal", "unequal"])
+    @pytest.mark.parametrize("kind", channels.KINDS)
+    def test_map_slot_form(self, kind, stages):
+        # the search screens with the form played on the channel maps, without J+:
+        # it is the Kraus slot's form up to rounding, with one map or two
+        rng = np.random.default_rng(channels.KINDS.index(kind))
+        pre, post = (channels.ChannelSpec(kind, *rng.uniform(size=2)) for _ in range(2))
+        cfg = game.GameConfig(gamma=rng.uniform(0.0, np.pi / 2), noise_pre=pre,
+                              noise_post=post if stages == "unequal" else pre,
+                              strategies=tuple(random_triples(rng, 4)))
+        player = int(rng.integers(1, 5))
+        kraus = game._payoff_form(game._slot(cfg, player))
+        assert np.abs(game._payoff_form(game._map_slot(cfg, player)) - kraus).max() <= 1e-14
 
     @pytest.mark.parametrize("key", sorted(RECORDED_BEST_RESPONSES))
     def test_bounds_recorded_best_response(self, key):

@@ -269,6 +269,27 @@ class TestTensorStacks:
             assert np.array_equal(linalg.tensor(moves), reference.kron(moves))
 
 
+class TestCompletenessResidual:
+    @pytest.mark.parametrize("n,dim", [(1, 2), (3, 4), (18, 16), (256, 16)])
+    @pytest.mark.parametrize("scale", [1.0, 0.9])
+    def test_matches_dense_formula(self, n, dim, scale):
+        # random isometries, complete at scale 1 and off by 0.19 at 0.9,
+        # against max |A+ A - I| with A the (n d, d) column of the stack
+        rng = np.random.default_rng(n * dim)
+        column = rng.normal(size=(n * dim, dim)) + 1j * rng.normal(size=(n * dim, dim))
+        flat = scale * np.linalg.qr(column)[0]
+        dense = np.max(np.abs(flat.conj().T @ flat - np.eye(dim)))
+        assert abs(linalg.completeness_residual(flat.reshape(n, dim, dim)) - dense) <= 1e-15
+
+    def test_strided_stack(self):
+        # every other column of a wider stack: the rows have a stride of two entries
+        column = np.random.default_rng(5).normal(size=(48, 32)).view(complex)
+        ops = np.linalg.qr(column)[0].reshape(3, 16, 16)
+        strided = np.repeat(ops, 2, axis=-1)[..., ::2]
+        assert np.array_equal(strided, ops) and not strided.flags.c_contiguous
+        assert linalg.completeness_residual(strided) == linalg.completeness_residual(ops)
+
+
 class TestKrausSet:
     def test_caller_array_not_adopted(self):
         ops = np.stack([np.sqrt(0.5) * np.eye(16), np.sqrt(0.5) * np.eye(16)[::-1]]
