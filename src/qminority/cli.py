@@ -221,23 +221,22 @@ def cmd_validate(args) -> int:
 def cmd_compare(args) -> int:
     report = formulas.compare(args.channel, (args.p_points, args.mu_points),
                               args.gamma)
+    # the text goes out piece by piece, so it is never held whole beside the report
     if args.format == "csv":
-        lines = [COMPARE_HEADER]
-        for pt in report.points:
-            lines.append(f"{args.channel},{_fmt(pt.p)},{_fmt(pt.mu)},"
-                         f"{_fmt(report.gamma)},{_fmt(pt.formula)},"
-                         f"{_fmt(pt.simulated)},{_fmt(pt.difference)}")
-        text = "\n".join(lines) + "\n"
+        pieces = itertools.chain((COMPARE_HEADER + "\n",), (
+            f"{args.channel},{_fmt(pt.p)},{_fmt(pt.mu)},{_fmt(report.gamma)},"
+            f"{_fmt(pt.formula)},{_fmt(pt.simulated)},{_fmt(pt.difference)}\n"
+            for pt in report.points))
     else:
-        text = json.dumps({
+        pieces = itertools.chain(json.JSONEncoder(indent=2).iterencode({
             "channel": report.kind,
             "gamma": report.gamma,
             "tolerance": report.tolerance,
             "verdict": report.verdict,
             "max_difference": report.max_difference,
             "points": [pt._asdict() for pt in report.points],
-        }, indent=2) + "\n"
-    code = _write_output((text,), args.out)
+        }), ("\n",))
+    code = _write_output(pieces, args.out)
     if code != 0:
         return code
     print(f"{report.kind}: {report.verdict} "

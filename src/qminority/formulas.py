@@ -19,8 +19,8 @@ from . import channels, game
 
 PF_TOLERANCE = 1e-10
 DEFAULT_TOLERANCE = 5e-3
-# compare holds every cell until the report is written: about 0.7 KB a cell as CSV
-# and 1.7 KB as JSON
+# compare's report holds every cell until it is written, and the JSON output one dict
+# a cell: about 0.33 KB a cell as CSV and 0.43 KB as JSON, the text being streamed
 _MAX_GRID_CELLS = 100_000
 
 

@@ -158,19 +158,20 @@ def _play(rho: np.ndarray, moves: list, noise, gate: np.ndarray = None):
     return rho, report, np.minimum(probs @ _PAYOFF_TABLE.T, 1.0)
 
 
-def _setup(config: GameConfig, build):
-    """The gate, pre-move state, second noise map and moves of a run, ``build`` making a
-    stage's map from its ChannelSpec; one map serves both stages when they match."""
+def _setup(config: GameConfig):
+    """The gate, pre-move state, second Kraus set and moves of a run; one set serves
+    both stages when they match."""
     gate = entangler(config.gamma)
-    pre = build(config.noise_pre)
-    post = pre if config.noise_post == config.noise_pre else build(config.noise_post)
+    pre = channels.build_channel(config.noise_pre)
+    post = pre if config.noise_post == config.noise_pre else channels.build_channel(
+        config.noise_post)
     moves = [strategy_unitary(s) for s in config.strategies]
     return gate, _pre_move_state(gate, pre), post, moves
 
 
 def run_game(config: GameConfig) -> GameResult:
     """Run the protocol once and score all four players."""
-    gate, rho, post, moves = _setup(config, channels.build_channel)
+    gate, rho, post, moves = _setup(config)
     rho, _, payoffs = _play(rho, moves, post, gate)
     return GameResult(rho, tuple(payoffs.tolist()))
 
@@ -273,8 +274,8 @@ _PROBE_MOVES = np.stack([linalg.pauli(0), 1j * linalg.pauli(1),
 
 def _slot(config: GameConfig, player: int):
     """The searched player's payoffs, as a function of an (n, 2, 2) stack of moves in
-    their slot, on one Kraus-path setup of ``config``; ``kraus_ops`` sizes its second set."""
-    gate, rho, post, moves = _setup(config, channels.build_channel)
+    their slot, on one Kraus-path setup of ``config``, and the form of those payoffs."""
+    gate, rho, post, moves = _setup(config)
     # a chunk makes at most CHUNK_POINTS // 4 Kraus products (one point if k is
     # larger), so apply_kraus's (chunk, k, 16, 16) products stay within 1 MB
     chunk = max(1, (CHUNK_POINTS // 4) // len(post))
@@ -286,30 +287,23 @@ def _slot(config: GameConfig, player: int):
             slot[player - 1] = stack[start:start + chunk]
             payoffs.append(_play(rho, slot, post, gate)[2][:, player - 1])
         return np.concatenate(payoffs)
-    play.kraus_ops = len(post)
-    return play
+    return play, _payoff_form(rho, post, moves, player)
 
 
-def _map_slot(config: GameConfig, player: int):
-    """_slot's function on the batched channel maps, one point per stage, whose plays
-    skip J+ as evaluate's do: their payoffs differ from _slot's by rounding alone."""
-    _, rho, post, moves = _setup(config, lambda spec: channels.channel_maps(
-        spec.kind, np.array([spec.p]), np.array([spec.mu])))
-
-    def play(stack: np.ndarray) -> np.ndarray:
-        slot = list(moves)
-        slot[player - 1] = stack
-        return _play(rho, slot, post)[2][:, player - 1]
-    return play
-
-
-def _payoff_form(play) -> np.ndarray:
+def _payoff_form(rho: np.ndarray, post, moves: list, player: int) -> np.ndarray:
     """(c, b_x, b_y, b_z), with payoff c + b.m for the move u, m the Bloch vector of u+Zu.
 
-    J+ keeps each payoff projector (the payoff is symmetric under bit complement) and
-    the second noise map keeps diagonal observables diagonal, so the observable the
-    move sees commutes with Z on its qubit: four plays of the slot fix c and b."""
-    up, down, x, y = play(_PROBE_MOVES)
+    J keeps the player's payoff projector P (the payoff is symmetric under bit
+    complement), so u scores Tr[O u rho u+] on the pre-move state rho, with
+    O = sum A+ P A = Y+Y over the second Kraus set, Y the rows of every A at the two
+    winning outcomes. Every Kraus operator is X^c D, so O is diagonal and commutes
+    with Z on the mover's qubit: four probe moves fix c and b."""
+    slot = list(moves)
+    slot[player - 1] = _PROBE_MOVES
+    rows = post.stack[:, _PAYOFF_TABLE[player - 1] > 0].reshape(-1, 16)  # Y, (2k, 16)
+    # Tr[O sigma] = sum_ij O_ji sigma_ij for each probe's state sigma, and O.T = Y.T Y*
+    up, down, x, y = np.sum((rows.T @ rows.conj()) * linalg.conjugate(rho, linalg.tensor(slot)),
+                            axis=(-2, -1)).real
     c = (up + down) / 2
     return np.array([c, x - c, y - c, (up - down) / 2])
 
@@ -322,8 +316,8 @@ def best_response_search(config: GameConfig, player: int, grid_points: int):
     the earliest lattice point, theta-major, then alpha, then beta.
 
     The payoff is c + b.m, affine in the Bloch vector m of u+Zu for the move
-    u, so it depends on theta and alpha - beta alone; four plays fix c and b,
-    on the channel maps past CHUNK_POINTS // 4 Kraus operators. It scores the
+    u, so it depends on theta and alpha - beta alone; four probe moves, read
+    through the adjoint of the second Kraus set, fix c and b. It scores the
     lattice one theta slab at a time, so memory grows with grid_points**2,
     which ``_MAX_GRID_POINTS`` bounds: a first pass finds the best score, and
     a second replays on the Kraus path, slab by slab, only the points within
@@ -343,11 +337,8 @@ def _best_response(config: GameConfig, player: int, grid_points: int):
         raise ValueError(f"need at least 2 grid points, got {grid_points}")
     if grid_points > _MAX_GRID_POINTS:
         raise ValueError(f"need at most {_MAX_GRID_POINTS} grid points, got {grid_points}")
-    play = _slot(config, player)
-    # the form only screens: the Kraus replays below pick the triple and its payoff. Its
-    # probes cost less on the channel maps once one move exceeds a chunk's Kraus products
-    c, b_x, b_y, b_z = _payoff_form(_map_slot(config, player)
-                                    if play.kraus_ops > CHUNK_POINTS // 4 else play)
+    # the form only screens: the Kraus replays below pick the triple and its payoff
+    play, (c, b_x, b_y, b_z) = _slot(config, player)
     thetas = np.linspace(0.0, np.pi, grid_points).tolist()
     phases = np.linspace(-np.pi, np.pi, grid_points)
     # m = (sin theta sin(alpha - beta), -sin theta cos(alpha - beta), cos theta), so a

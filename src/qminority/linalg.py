@@ -65,7 +65,7 @@ def _dagger(a: np.ndarray) -> np.ndarray:
 def conjugate(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Unitary conjugation rho -> u rho u+, broadcast over stacks of either."""
     residual = np.max(np.abs(u @ _dagger(u) - np.eye(u.shape[-1])))
-    if residual > UNITARY_TOL:
+    if not residual <= UNITARY_TOL:  # a nan residual fails too
         raise ValueError(f"matrix is not unitary: residual {residual:.3e}")
     return u @ rho @ _dagger(u)
 
@@ -80,7 +80,7 @@ def apply_kraus(rho: np.ndarray, kraus) -> np.ndarray:
     if not isinstance(kraus, KrausSet):
         kraus = KrausSet(np.array(kraus, dtype=complex))
     residual = kraus.completeness_residual
-    if residual > COMPLETENESS_TOL:
+    if not residual <= COMPLETENESS_TOL:  # a nan residual fails too
         raise ValueError(f"Kraus completeness violated: residual {residual:.6g}")
     if rho.shape[-2:] != kraus.stack.shape[1:]:
         raise ValueError(f"state shape {rho.shape} does not fit Kraus stack {kraus.stack.shape}")

@@ -454,16 +454,23 @@ class TestBestResponse:
                               "--mu", "0.3", "--gamma", "pi/2", "--grid", "5"], capsys)
         assert (code, len(builds)) == (0, 1)
 
-    def test_kraus_applies(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv,count", [
         # one move per 256-operator chunk: the pre-move state, the 10 screened
-        # candidates and ne_payoff; the form's 4 probes play on the channel maps
+        # candidates and ne_payoff
+        ("--channel dep --p 0.3 --mu 0.3 --gamma pi/2 --grid 9", 12),
+        # three moves per 18-operator chunk: the pre-move state, the 6 chunks of
+        # screened candidates and ne_payoff
+        ("--channel ad --p 0.4 --mu 0.3 --gamma pi/2", 8),
+    ])
+    def test_kraus_applies(self, argv, count, capsys, monkeypatch):
+        # the form reads the Kraus set's adjoint: it applies no set and builds no map
         applies = []
         apply = linalg.apply_kraus
         monkeypatch.setattr(linalg, "apply_kraus",
                             lambda rho, kraus: applies.append(kraus) or apply(rho, kraus))
-        code, _, _ = run_cli(["best-response", "--channel", "dep", "--p", "0.3",
-                              "--mu", "0.3", "--gamma", "pi/2", "--grid", "9"], capsys)
-        assert (code, len(applies)) == (0, 12)
+        monkeypatch.setattr(channels, "channel_maps", reached)
+        code, _, _ = run_cli(["best-response"] + argv.split(), capsys)
+        assert (code, len(applies)) == (0, count)
 
     def test_grid_bound(self, capsys, monkeypatch):
         # the bound passes the argument checks and reaches the search's setup, a

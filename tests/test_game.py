@@ -340,13 +340,13 @@ class TestBestResponseSearch:
         # both stages match, so one Kraus set serves them both, and it and the
         # pre-move state are shared by the search; only the second noise stage
         # runs, once per chunk of played moves. With 16 bit-flip operators a
-        # chunk is (CHUNK_POINTS // 4) // 16 = 4 moves, and the form probes stay on
-        # the Kraus path, so the pre-move state, the 4 form probes and the 7
+        # chunk is (CHUNK_POINTS // 4) // 16 = 4 moves, and the form reads the
+        # set's adjoint without applying it, so the pre-move state and the 7
         # screened candidates, all in the theta = pi/2 slab, make
-        # 1 + ceil(4 / 4) + ceil(7 / 4) = 4
+        # 1 + ceil(7 / 4) = 3
         game.best_response_search(ne_config("bit_flip", 0.2, 0.5), player=1,
                                   grid_points=5)
-        assert construction_counts == {"build": 1, "apply": 4}
+        assert construction_counts == {"build": 1, "apply": 3}
 
     @pytest.mark.parametrize("p,mu,grid,player,others", [
         (0.3, 0.3, 9, 1, None),
@@ -355,15 +355,15 @@ class TestBestResponseSearch:
     def test_kraus_applies_are_the_replays(self, p, mu, grid, player, others,
                                            construction_counts):
         # 256 depolarizing operators exceed a chunk's CHUNK_POINTS // 4 Kraus products,
-        # so a chunk is one move and the form's probes play on the channel maps: the
-        # Kraus set enters once for the pre-move state and once for each lattice
-        # point within the margin of the best score
+        # so a chunk is one move, and the form applies no Kraus set: the set enters
+        # once for the pre-move state and once for each lattice point within the
+        # margin of the best score
         spec = channels.ChannelSpec("depolarizing", p, mu)
         cfg = game.GameConfig(gamma=np.pi / 2, noise_pre=spec, noise_post=spec,
                               strategies=None if others is None else (others,) * 4)
         game.best_response_search(cfg, player=player, grid_points=grid)
         applies = construction_counts["apply"]
-        form = game._payoff_form(game._slot(cfg, player))
+        form = game._slot(cfg, player)[1]
         lattice = np.stack([game.strategy_unitary(s) for s in lattice_points(grid)])
         scores = form[0] + reference.bloch_of_z(lattice) @ form[1:]
         candidates = np.count_nonzero(scores >= scores.max() - game._SCREEN_MARGIN)
@@ -438,7 +438,7 @@ class TestBestResponseSearch:
             return play(rho, moves, noise, gate)
         monkeypatch.setattr(game, "_play", recorded_play)
         clean = game.best_response_search(cfg, player=1, grid_points=5)
-        assert sum(map(len, played)) == 4 + 7  # the form probes and the candidates
+        assert sum(map(len, played)) == 7  # the candidates; the form plays nothing
         played.clear()
         monkeypatch.setattr(game, "_payoff_form",
                             lambda *args: form(*args) + [1e-6, 0, 0, 0])
@@ -491,7 +491,7 @@ class TestSlot:
         cfg = game.GameConfig(gamma=np.pi / 3, noise_pre=channels.ChannelSpec(kind, *pre),
                               noise_post=channels.ChannelSpec(kind, *post),
                               strategies=tuple(profile))
-        play = game._slot(cfg, player)
+        play, _ = game._slot(cfg, player)
         ne_move = game.strategy_unitary(game.ne_strategy())[None]
         assert play(ne_move)[0] == game.run_game(cfg).payoffs[player - 1]
 
@@ -499,7 +499,7 @@ class TestSlot:
         # one Kraus set per noise stage, however often the slot is played
         pre, post = (channels.ChannelSpec("bit_flip", p, 0.5) for p in (0.2, 0.4))
         cfg = game.GameConfig(gamma=np.pi / 2, noise_pre=pre, noise_post=post)
-        play = game._slot(cfg, 3)
+        play, _ = game._slot(cfg, 3)
         lattice = np.stack([game.strategy_unitary(s) for s in lattice_points(3)])
         for stack in lattice[:5], lattice[5:], lattice:
             play(stack)
@@ -532,8 +532,7 @@ def slot_player(kind, p, mu, gamma, player, others):
     spec = channels.ChannelSpec(kind, p, mu)
     cfg = game.GameConfig(gamma=gamma, noise_pre=spec, noise_post=spec,
                           strategies=tuple(others))
-    play = game._slot(cfg, player)
-    return play, game._payoff_form(play)
+    return game._slot(cfg, player)
 
 
 def random_triples(rng, n):
@@ -577,17 +576,19 @@ class TestPayoffForm:
 
     @pytest.mark.parametrize("stages", ["equal", "unequal"])
     @pytest.mark.parametrize("kind", channels.KINDS)
-    def test_map_slot_form(self, kind, stages):
-        # the search screens with the form played on the channel maps, without J+:
-        # it is the Kraus slot's form up to rounding, with one map or two
+    def test_adjoint_form_is_probe_plays(self, kind, stages):
+        # the form read through the second Kraus set's adjoint is the one that the
+        # four probe moves played on the Kraus slot fix, up to rounding, with one
+        # Kraus set or two
         rng = np.random.default_rng(channels.KINDS.index(kind))
         pre, post = (channels.ChannelSpec(kind, *rng.uniform(size=2)) for _ in range(2))
         cfg = game.GameConfig(gamma=rng.uniform(0.0, np.pi / 2), noise_pre=pre,
                               noise_post=post if stages == "unequal" else pre,
                               strategies=tuple(random_triples(rng, 4)))
-        player = int(rng.integers(1, 5))
-        kraus = game._payoff_form(game._slot(cfg, player))
-        assert np.abs(game._payoff_form(game._map_slot(cfg, player)) - kraus).max() <= 1e-14
+        play, form = game._slot(cfg, int(rng.integers(1, 5)))
+        up, down, x, y = play(game._PROBE_MOVES)
+        c = (up + down) / 2
+        assert np.abs(form - [c, x - c, y - c, (up - down) / 2]).max() <= 1e-15
 
     @pytest.mark.parametrize("key", sorted(RECORDED_BEST_RESPONSES))
     def test_bounds_recorded_best_response(self, key):

@@ -81,6 +81,13 @@ class TestConjugate:
         with pytest.raises(ValueError, match="unitary"):
             linalg.conjugate(rho, 2.0 * np.eye(16))
 
+    def test_rejects_nan(self):
+        # a nan residual compares false against the tolerance, and must fail too
+        u = np.eye(2, dtype=complex)
+        u[0, 1] = np.nan
+        with pytest.raises(ValueError, match="not unitary: residual nan"):
+            linalg.conjugate(np.eye(2) / 2, u)
+
     def test_accepts_random_unitary(self):
         rng = np.random.default_rng(1)
         rho = random_density(rng)
@@ -116,6 +123,12 @@ class TestApplyKraus:
         rho = np.eye(16, dtype=complex) / 16
         with pytest.raises(ValueError, match="completeness"):
             linalg.apply_kraus(rho, [0.5 * np.eye(16)])
+
+    def test_rejects_nan(self):
+        ops = np.stack([np.sqrt(0.5) * np.eye(2)] * 2).astype(complex)
+        ops[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="completeness violated: residual nan"):
+            linalg.apply_kraus(np.eye(2) / 2, ops)
 
     def test_error_reports_residual(self):
         rho = np.eye(16, dtype=complex) / 16
