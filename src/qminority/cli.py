@@ -102,8 +102,8 @@ def _write_output(pieces, path: str | None) -> int:
 
 
 # Sweep output per format: the text before the rows, one row (str.format fields),
-# the separator after each row but the last, the text after the rows, and the
-# %-format of a number. The JSON text is json.dumps(rows, indent=2) + "\n".
+# the separator between rows, the text after the rows, and the %-format of a number.
+# The JSON text is json.dumps(rows, indent=2) + "\n".
 _SWEEP_FORMATS = {
     "csv": (CSV_HEADER + "\n", "{channel},{p},{mu},{gamma},{player},{payoff}",
             "\n", "\n", "%.17g"),
@@ -114,29 +114,25 @@ _SWEEP_FORMATS = {
 
 
 def _sweep_text(kind: str, vary: str, fixed: dict, points: int, fmt: str):
-    """The sweep's output text, one game.CHUNK_POINTS slice of the grid at a time.
+    """The sweep's output text, one slice of game._sweep at a time.
 
-    Each slice is evaluated, then formatted straight from its arrays with one
-    %-template per point: the fixed values are formatted once per sweep and the
-    varied one once per point. The first piece comes after the first slice is
-    evaluated, so bad arguments fail before any output is opened.
+    Each slice is formatted straight from its arrays with one %-template per
+    point, the separator before each row: the fixed values are formatted once
+    per sweep and the varied one once per point. The first piece comes after
+    the first slice is evaluated, so bad arguments fail before any output is
+    opened.
     """
     head, row, sep, tail, number = _SWEEP_FORMATS[fmt]
     cells = {axis: number % value for axis, value in fixed.items()}
-    point = "".join(row.format(channel=kind, player=k, payoff=number, **cells, **{vary: "%s"})
-                    + sep for k in (1, 2, 3, 4))
-    grid = game._sweep_grid(vary, fixed, points)
-    for start in range(0, points, game.CHUNK_POINTS):
-        stop = min(start + game.CHUNK_POINTS, points)
-        axes = grid(start, stop)
-        payoffs = game.evaluate(kind, axes["p"], axes["mu"], axes["gamma"]).payoffs
-        values = np.empty((stop - start, 4, 2), dtype=object)
-        values[..., 0] = np.array([number % x for x in axes[vary].tolist()], dtype=object)[:, None]
+    point = "".join(sep + row.format(channel=kind, player=k, payoff=number, **cells,
+                                     **{vary: "%s"}) for k in (1, 2, 3, 4))
+    for i, (axis, payoffs) in enumerate(game._sweep(kind, vary, fixed, points)):
+        values = np.empty((len(axis), 4, 2), dtype=object)
+        values[..., 0] = np.array([number % x for x in axis.tolist()], dtype=object)[:, None]
         values[..., 1] = payoffs
-        text = (point * (stop - start)) % tuple(values.ravel())
-        if start == 0:
-            text = head + text
-        yield text[:-len(sep)] + tail if stop == points else text
+        text = (point * len(axis)) % tuple(values.ravel())
+        yield text if i else head + text[len(sep):]
+    yield tail
 
 
 def cmd_sweep(args) -> int:

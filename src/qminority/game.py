@@ -215,14 +215,15 @@ def evaluate(kind: str, p, mu, gamma, strategies=None) -> Evaluation:
 _AXES = ("p", "mu", "gamma")
 
 
-def _sweep_grid(vary: str, fixed: dict, points: int):
-    """Check a one-axis sweep; returns the function from a point range [start, stop)
-    to its p, mu and gamma.
+def _sweep(kind: str, vary: str, fixed: dict, points: int):
+    """Check a one-axis sweep at the symmetric equilibrium profile, then yield it one
+    CHUNK_POINTS slice at a time: the slice of the varied axis and evaluate's (n, 4)
+    payoffs on it.
 
     ``vary`` is one of p, mu, gamma; ``fixed`` must hold the other two. The varied
     axis is np.linspace(0, high, points), high 1 for p and mu and pi/2 for gamma;
-    each range is computed with linspace's own arithmetic, so it holds that slice
-    of the axis, bit for bit, and no range needs the whole axis.
+    each slice is computed with linspace's own arithmetic, so it holds that slice
+    of the axis, bit for bit, and no slice needs the whole axis.
     """
     if points < 2:
         raise ValueError(f"need at least 2 points, got {points}")
@@ -231,13 +232,13 @@ def _sweep_grid(vary: str, fixed: dict, points: int):
     if set(fixed) != set(_AXES) - {vary}:
         raise ValueError(f"fixed must supply exactly {sorted(set(_AXES) - {vary})}")
     high = np.pi / 2 if vary == "gamma" else 1.0
-
-    def grid(start: int, stop: int) -> dict:
+    for start in range(0, points, CHUNK_POINTS):
+        stop = min(start + CHUNK_POINTS, points)
         axis = np.arange(start, stop, dtype=float) * (high / (points - 1))
         if stop == points:
             axis[-1] = high
-        return dict(fixed, **{vary: axis})
-    return grid
+        axes = dict(fixed, **{vary: axis})
+        yield axis, evaluate(kind, axes["p"], axes["mu"], axes["gamma"]).payoffs
 
 
 def payoff_curve(kind: str, vary: str, fixed: dict, points: int = 101) -> list:
@@ -246,13 +247,9 @@ def payoff_curve(kind: str, vary: str, fixed: dict, points: int = 101) -> list:
     ``vary`` is one of p, mu, gamma; ``fixed`` must hold the other two.
     p and mu run over [0, 1], gamma over [0, pi/2], all on uniform grids.
     """
-    grid = _sweep_grid(vary, fixed, points)(0, points)
-    payoffs = evaluate(kind, grid["p"], grid["mu"], grid["gamma"]).payoffs
-    curve = []
-    for x, row in zip(grid[vary].tolist(), payoffs.tolist()):
-        vals = dict(fixed, **{vary: x})
-        curve.append(CurvePoint(vals["p"], vals["mu"], vals["gamma"], tuple(row)))
-    return curve
+    return [CurvePoint(**dict(fixed, **{vary: x}), payoffs=tuple(row))
+            for axis, payoffs in _sweep(kind, vary, fixed, points)
+            for x, row in zip(axis.tolist(), payoffs.tolist())]
 
 
 # best_response_search replays on the Kraus path every lattice point whose
@@ -319,9 +316,10 @@ def best_response_search(config: GameConfig, player: int, grid_points: int):
     u, so it depends on theta and alpha - beta alone; four probe moves, read
     through the adjoint of the second Kraus set, fix c and b. It scores the
     lattice one theta slab at a time, so memory grows with grid_points**2,
-    which ``_MAX_GRID_POINTS`` bounds: a first pass finds the best score, and
-    a second replays on the Kraus path, slab by slab, only the points within
-    ``_SCREEN_MARGIN`` of it. The first maximum of the replayed payoffs wins.
+    which ``_MAX_GRID_POINTS`` bounds. The best score is read from each slab's
+    phase-table maximum, so the lattice is scored once, in the pass that replays
+    on the Kraus path, slab by slab, only the points within ``_SCREEN_MARGIN`` of
+    it. The first maximum of the replayed payoffs wins.
     If any replayed payoff differs from its score by more than a quarter of
     the margin, the whole lattice is replayed instead, so the answer is
     always that of the exhaustive scan.
@@ -346,15 +344,16 @@ def _best_response(config: GameConfig, player: int, grid_points: int):
     delta = np.subtract.outer(phases, phases).ravel()
     table = b_x * np.sin(delta) - b_y * np.cos(delta)
 
-    def scores(theta: float) -> np.ndarray:
-        return c + b_z * np.cos(theta) + np.sin(theta) * table
-    floor = max(scores(theta).max() for theta in thetas) - _SCREEN_MARGIN
+    # sin theta >= 0 on [0, pi], and rounding keeps a + s * x monotone in x for s >= 0,
+    # so each slab's best score is its score at the table's maximum, bit for bit
+    top = table.max()
+    floor = max(c + b_z * np.cos(theta) + np.sin(theta) * top for theta in thetas) - _SCREEN_MARGIN
     # each slab's first maximum over its screened points, then, if a screened
     # payoff strays from its score, over all of them
     for screened in (True, False):
         found = []
         for theta in thetas:
-            slab = scores(theta)
+            slab = c + b_z * np.cos(theta) + np.sin(theta) * table
             kept = np.flatnonzero(slab >= floor) if screened else np.arange(slab.size)
             if not len(kept):
                 continue

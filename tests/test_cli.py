@@ -394,6 +394,17 @@ class TestCompare:
         assert (code, out) == (2, "")
         assert err == f"error: need at most {bound} grid cells, got {bound + 1}\n"
 
+    def test_inconsistent_phase_flip_fails_but_writes_report(self, capsys, monkeypatch):
+        exact = formulas._FORMS["phase_flip"]
+        monkeypatch.setitem(formulas._FORMS, "phase_flip",
+                            lambda p, mu, gamma: exact(p, mu, gamma) + 1e-6)
+        code, out, err = run_cli(["compare", "--channel", "pf"], capsys)
+        assert code == 1
+        assert err.startswith("phase_flip: inconsistent")
+        lines = out.splitlines()
+        assert lines[0] == cli.COMPARE_HEADER
+        assert len(lines) == 1 + 11 * 5
+
     def test_injectivity_of_grid_flags(self, capsys):
         code, out, _ = run_cli(["compare", "--channel", "bf", "--p-points", "3",
                                 "--mu-points", "2", "--format", "json"], capsys)
@@ -411,6 +422,15 @@ class TestBestResponse:
         assert set(result) == {"theta", "alpha", "beta", "payoff", "ne_payoff"}
         assert abs(result["payoff"] - 1.0) < 1e-12
         assert abs(result["theta"] - np.pi) < 1e-12
+
+    def test_wrong_strategy_count_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["best-response", "--channel", "ad", "--p", "0.1", "--mu", "0.1",
+                      "--gamma", "pi/2", "--others", "1,2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "strategy must be 'theta,alpha,beta', got '1,2'" in err
+        assert "Traceback" not in err
 
     def test_equilibrium_holds(self, capsys):
         code, out, _ = run_cli(["best-response", "--channel", "pf", "--p", "0",

@@ -186,6 +186,10 @@ class TestOverlapCheck:
     def test_point_count(self):
         assert len(formulas.overlap_check(G2, 31).points) == 31
 
+    def test_rejects_one_point(self):
+        with pytest.raises(ValueError, match="^need at least 2 points, got 1$"):
+            formulas.overlap_check(G2, 1)
+
     def test_residual_compares_evaluate_with_run_game(self, monkeypatch):
         fast = game.evaluate
 

@@ -304,13 +304,17 @@ class TestSweepGrid:
     def test_slices_are_linspace(self, vary, high, points):
         fixed = {"p": 0.3, "mu": 0.6, "gamma": 1.0}
         del fixed[vary]
-        grid = game._sweep_grid(vary, fixed, points)
-        size = game.CHUNK_POINTS
-        slices = [grid(start, min(start + size, points)) for start in range(0, points, size)]
-        axis = np.concatenate([axes[vary] for axes in slices])
-        assert axis.tobytes() == np.linspace(0.0, high, points).tobytes()
-        assert all(axes.keys() == {"p", "mu", "gamma"} for axes in slices)
-        assert all(axes[name] == value for axes in slices for name, value in fixed.items())
+        given = dict(fixed)
+        slices = list(game._sweep("phase_flip", vary, fixed, points))
+        linspace = np.linspace(0.0, high, points)
+        assert np.concatenate([axis for axis, _ in slices]).tobytes() == linspace.tobytes()
+        assert [len(axis) for axis, _ in slices[:-1]] == [game.CHUNK_POINTS] * (len(slices) - 1)
+        assert 0 < len(slices[-1][0]) <= game.CHUNK_POINTS
+        assert fixed == given
+        whole = dict(fixed, **{vary: linspace})
+        expected = game.evaluate("phase_flip", whole["p"], whole["mu"], whole["gamma"]).payoffs
+        payoffs = np.concatenate([payoffs for _, payoffs in slices])
+        assert payoffs.tobytes() == expected.tobytes()
 
 
 class TestBestResponseSearch:
