@@ -4,7 +4,8 @@ All output is deterministic: the same argument vector produces byte-identical
 stdout or files. Files are written to a temporary name in the target
 directory and renamed into place, so a failed run never leaves a half-written file,
 and stdout gets all of a command's output or none of it.
-Exit codes: 0 success, 1 validation/consistency failure, 2 usage error.
+Exit codes: 0 success, 1 validation/consistency failure, 2 usage error. A reader
+that closes stdout's pipe early ends the command with exit code 1 and no traceback.
 """
 
 from __future__ import annotations
@@ -65,10 +66,6 @@ def parse_triple(text: str) -> game.StrategyTriple:
     return game.StrategyTriple(*(parse_angle(part) for part in parts))
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _write_output(pieces, path: str | None) -> int:
     """Write the text pieces to ``path``, or to stdout for None or '-', all or nothing.
 
@@ -101,9 +98,9 @@ def _write_output(pieces, path: str | None) -> int:
     return 0
 
 
-# Sweep output per format: the text before the rows, one row (str.format fields),
-# the separator between rows, the text after the rows, and the %-format of a number.
-# The JSON text is json.dumps(rows, indent=2) + "\n".
+# Table output per format: the text before the rows, one row (str.format fields, and
+# %-fields for compare's columns), the separator between rows, the text after the rows
+# and the %-format of a number. The JSON is json.dumps(rows or report, indent=2) + "\n".
 _SWEEP_FORMATS = {
     "csv": (CSV_HEADER + "\n", "{channel},{p},{mu},{gamma},{player},{payoff}",
             "\n", "\n", "%.17g"),
@@ -111,28 +108,39 @@ _SWEEP_FORMATS = {
                     '    "gamma": {gamma},\n    "player": {player},\n    "payoff": {payoff}\n  }}',
              ",\n", "\n]\n", "%r"),
 }
+_COMPARE_FORMATS = {
+    "csv": (COMPARE_HEADER + "\n", "{channel},%.17g,%.17g,{gamma},%.17g,%.17g,%.17g",
+            "\n", "\n", "%.17g"),
+    "json": ('{{\n  "channel": "{channel}",\n  "gamma": {gamma},\n  "tolerance": {tolerance},\n'
+             '  "verdict": "{verdict}",\n  "max_difference": {max_difference},\n  "points": [\n',
+             '    {{\n      "p": %r,\n      "mu": %r,\n      "formula": %r,\n'
+             '      "simulated": %r,\n      "difference": %r\n    }}', ",\n", "\n  ]\n}\n", "%r"),
+}
+
+
+def _table_text(head: str, point: str, sep: str, tail: str, slices):
+    """``head``, each slice's values through the %-template ``point`` once a row, ``tail``.
+
+    ``point`` puts ``sep`` before each of its rows; the first gives way to ``head``. The
+    first slice is formatted here, so bad arguments fail before any output is opened.
+    """
+    texts = ((point * len(values)) % tuple(values.ravel().tolist()) for values in slices)
+    first = next(texts)
+    return itertools.chain((head, first[len(sep):]), texts, (tail,))
 
 
 def _sweep_text(kind: str, vary: str, fixed: dict, points: int, fmt: str):
-    """The sweep's output text, one slice of game._sweep at a time.
-
-    Each slice is formatted straight from its arrays with one %-template per
-    point, the separator before each row: the fixed values are formatted once
-    per sweep and the varied one once per point. The first piece comes after
-    the first slice is evaluated, so bad arguments fail before any output is
-    opened.
-    """
+    """The sweep's text: the fixed values formatted once, the varied one once a point."""
     head, row, sep, tail, number = _SWEEP_FORMATS[fmt]
     cells = {axis: number % value for axis, value in fixed.items()}
     point = "".join(sep + row.format(channel=kind, player=k, payoff=number, **cells,
                                      **{vary: "%s"}) for k in (1, 2, 3, 4))
-    for i, (axis, payoffs) in enumerate(game._sweep(kind, vary, fixed, points)):
-        values = np.empty((len(axis), 4, 2), dtype=object)
-        values[..., 0] = np.array([number % x for x in axis.tolist()], dtype=object)[:, None]
-        values[..., 1] = payoffs
-        text = (point * len(axis)) % tuple(values.ravel())
-        yield text if i else head + text[len(sep):]
-    yield tail
+
+    def slices():
+        for axis, payoffs in game._sweep(kind, vary, fixed, points):
+            texts = np.array([number % x for x in axis.tolist()], dtype=object)
+            yield np.stack(np.broadcast_arrays(texts[:, None], payoffs), axis=-1)
+    return _table_text(head, point, sep, tail, slices())
 
 
 def cmd_sweep(args) -> int:
@@ -149,9 +157,8 @@ def cmd_sweep(args) -> int:
                       file=sys.stderr)
                 return 2
             fixed[axis] = value
-    pieces = _sweep_text(args.channel, args.vary, fixed, args.points, args.format)
-    first = next(pieces)  # raises on bad arguments before the output is opened
-    return _write_output(itertools.chain((first,), pieces), args.out)
+    return _write_output(_sweep_text(args.channel, args.vary, fixed, args.points, args.format),
+                         args.out)
 
 
 def _validate_checks(inject_broken: bool):
@@ -215,24 +222,15 @@ def cmd_validate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    report = formulas.compare(args.channel, (args.p_points, args.mu_points),
-                              args.gamma)
-    # the text goes out piece by piece, so it is never held whole beside the report
-    if args.format == "csv":
-        pieces = itertools.chain((COMPARE_HEADER + "\n",), (
-            f"{args.channel},{_fmt(pt.p)},{_fmt(pt.mu)},{_fmt(report.gamma)},"
-            f"{_fmt(pt.formula)},{_fmt(pt.simulated)},{_fmt(pt.difference)}\n"
-            for pt in report.points))
-    else:
-        pieces = itertools.chain(json.JSONEncoder(indent=2).iterencode({
-            "channel": report.kind,
-            "gamma": report.gamma,
-            "tolerance": report.tolerance,
-            "verdict": report.verdict,
-            "max_difference": report.max_difference,
-            "points": [pt._asdict() for pt in report.points],
-        }), ("\n",))
-    code = _write_output(pieces, args.out)
+    report = formulas._compare(args.channel, (args.p_points, args.mu_points), args.gamma)
+    head, row, sep, tail, number = _COMPARE_FORMATS[args.format]
+    fields = {name: number % getattr(report, name)
+              for name in ("gamma", "tolerance", "max_difference")}
+    fields.update(channel=report.kind, verdict=report.verdict)
+    slices = np.split(report.points, range(game.CHUNK_POINTS, len(report.points),
+                                           game.CHUNK_POINTS))
+    code = _write_output(_table_text(head.format(**fields), sep + row.format(**fields), sep,
+                                     tail, slices), args.out)
     if code != 0:
         return code
     print(f"{report.kind}: {report.verdict} "
@@ -335,7 +333,13 @@ def main(argv=None) -> int:
     # looked up per call, so a cmd_* function replaced after import is the one run
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return command(args)
+        code = command(args)
+        sys.stdout.flush()  # so a reader that closed the pipe is seen here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone: what is left to flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

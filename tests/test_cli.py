@@ -412,6 +412,52 @@ class TestCompare:
         assert len(json.loads(out)["points"]) == 6
 
 
+def whole_report_text(report, fmt):
+    """The compare output as the CLI formatted it before the columns: an f-string per
+    CSV row, and JSONEncoder(indent=2) over one dict a cell."""
+    if fmt == "csv":
+        return "".join([cli.COMPARE_HEADER + "\n"] + [
+            f"{report.kind},{pt.p:.17g},{pt.mu:.17g},{report.gamma:.17g},"
+            f"{pt.formula:.17g},{pt.simulated:.17g},{pt.difference:.17g}\n"
+            for pt in report.points])
+    return "".join(json.JSONEncoder(indent=2).iterencode({
+        "channel": report.kind,
+        "gamma": report.gamma,
+        "tolerance": report.tolerance,
+        "verdict": report.verdict,
+        "max_difference": report.max_difference,
+        "points": [pt._asdict() for pt in report.points],
+    })) + "\n"
+
+
+class TestStreamedCompare:
+    @pytest.mark.parametrize("channel", ["ad", "dep", "bf", "pf", "bpf"])
+    @pytest.mark.parametrize("p_points, mu_points, gamma", [
+        (2, 128, "pi/2"), (3, 171, "pi/2"), (257, 2, "pi/2"), (11, 5, "pi/2"), (11, 5, "pi/5"),
+    ], ids=["256-cells", "513-cells", "514-cells", "11x5", "11x5-pi/5"])
+    def test_bytes_match_the_per_cell_formatter(self, channel, p_points, mu_points, gamma,
+                                                tmp_path, capsys):
+        # one full slice, and one or two cells past the second slice edge
+        assert game.CHUNK_POINTS == 256
+        kind = cli.parse_channel(channel)
+        report = formulas.compare(kind, (p_points, mu_points), cli.parse_angle(gamma))
+        code = 1 if kind == "phase_flip" and report.verdict == "inconsistent" else 0
+        err = f"{kind}: {report.verdict} (max difference {report.max_difference:.6g})\n"
+        for fmt in ("csv", "json"):
+            expected = whole_report_text(report, fmt)
+            argv = ["compare", "--channel", channel, "--p-points", str(p_points),
+                    "--mu-points", str(mu_points), "--gamma", gamma, "--format", fmt]
+            assert run_cli(argv, capsys) == (code, expected, err)
+            out = tmp_path / f"compare.{fmt}"
+            assert run_cli(argv + ["--out", str(out)], capsys) == (code, "", err)
+            assert out.read_bytes() == expected.encode()
+
+    def test_bad_grid_is_reported_before_the_write(self, capsys):
+        code, out, err = run_cli(["compare", "--channel", "pf", "--p-points", "1",
+                                  "--out", "/no_such_dir_qm/x.csv"], capsys)
+        assert (code, out, err) == (2, "", "error: grid must be at least 2x2, got (1, 5)\n")
+
+
 class TestBestResponse:
     def test_classical_counter_move(self, capsys):
         code, out, _ = run_cli(["best-response", "--channel", "pf", "--p", "0",
@@ -584,3 +630,18 @@ class TestEntryPoint:
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         assert proc.stdout.decode() == out
+
+    def test_closed_stdout_pipe_exits_1_without_traceback(self):
+        # about 0.5 MB of CSV, more than a pipe buffers, so the child is still
+        # writing when the reader closes the pipe after one line
+        argv = ["sweep", "--channel", "pf", "--vary", "p", "--mu", "0.3",
+                "--gamma", "pi/2", "--points", "2001"]
+        src = os.path.dirname(os.path.dirname(qminority.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        with subprocess.Popen([sys.executable, "-m", "qminority.cli"] + argv,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=dict(os.environ, PYTHONPATH=path)) as proc:
+            assert proc.stdout.readline() == (cli.CSV_HEADER + "\n").encode()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (1, b"")

@@ -164,6 +164,35 @@ class TestCompare:
             assert pt.formula == pytest.approx(want, rel=0, abs=1e-13)
 
 
+def per_cell_report(kind, grid, gamma):
+    """compare's report as built before the columns: a list of (p, mu) cells, then
+    one ComparisonPoint a cell from Python floats."""
+    cells = [(p, mu) for p in np.linspace(0.0, 1.0, grid[0]).tolist()
+             for mu in np.linspace(0.0, 1.0, grid[1]).tolist()]
+    p, mu = np.array(cells).T
+    expected = formulas._FORMS[kind](p, mu, gamma).tolist()
+    simulated = game.evaluate(kind, p, mu, gamma).payoffs[:, 0].tolist()
+    points = tuple(formulas.ComparisonPoint(p, mu, f, s, abs(f - s))
+                   for (p, mu), f, s in zip(cells, expected, simulated))
+    max_difference = max(pt.difference for pt in points)
+    tolerance = formulas.PF_TOLERANCE if kind == "phase_flip" else formulas.DEFAULT_TOLERANCE
+    verdict = "consistent" if max_difference < tolerance else "inconsistent"
+    return formulas.DiscrepancyReport(kind, gamma, tolerance, points, max_difference, verdict)
+
+
+class TestCompareColumns:
+    @pytest.mark.parametrize("kind", channels.KINDS)
+    @pytest.mark.parametrize("grid, gamma", [((11, 5), G2), ((3, 171), np.pi / 5),
+                                             ((257, 2), 0.3)])
+    def test_report_matches_the_per_cell_construction(self, kind, grid, gamma):
+        report = formulas.compare(kind, grid, gamma)
+        assert report == per_cell_report(kind, grid, gamma)
+        assert type(report.points) is tuple
+        assert all(type(pt) is formulas.ComparisonPoint for pt in report.points)
+        assert {type(x) for pt in report.points for x in pt} == {float}
+        assert type(report.max_difference) is float
+
+
 class TestOverlapCheck:
     def test_records_disagreement(self):
         # full-memory depolarizing keeps all four collective errors while
