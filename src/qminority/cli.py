@@ -3,18 +3,22 @@
 All output is deterministic: the same argument vector produces byte-identical
 stdout or files. Files are written to a temporary name in the target
 directory and renamed into place, so a failed run never leaves a half-written file,
-and stdout gets all of a command's output or none of it.
-Exit codes: 0 success, 1 validation/consistency failure, 2 usage error. A reader
-that closes stdout's pipe early ends the command with exit code 1 and no traceback.
+and stdout gets all of a command's output or none of it. Otherwise ``--out`` acts
+like ``open(path, "w")`` for symlinks and modes, but refuses a FIFO or device.
+Exit codes: 0 success, 1 validation/consistency failure, 2 usage error or failed
+write. A reader that closes stdout's pipe early ends the command with exit code 1
+and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import json
 import os
 import shutil
+import stat
 import sys
 import tempfile
 
@@ -69,23 +73,44 @@ def parse_triple(text: str) -> game.StrategyTriple:
 def _write_output(pieces, path: str | None) -> int:
     """Write the text pieces to ``path``, or to stdout for None or '-', all or nothing.
 
-    A file is written under a temporary name in its directory and renamed into
-    place; stdout output is spooled to a temporary file and copied out at the end.
-    So an exception while the pieces are produced leaves no output behind.
+    The one writer of every command's output and reporter of a failed write. A file
+    is written under a temporary name in its directory and renamed into place; stdout
+    output is spooled to a temporary file and copied out at the end. So an exception
+    while the pieces are produced leaves no output behind.
     """
     if path in (None, "-"):
         with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as spool:
             spool.writelines(pieces)
             spool.seek(0)
-            shutil.copyfileobj(spool, sys.stdout)
+            try:
+                shutil.copyfileobj(spool, sys.stdout)
+                sys.stdout.flush()  # so a failed write is seen here, not at exit
+            except OSError as exc:
+                # what is left to flush at exit goes to devnull, so exit reports nothing
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                if isinstance(exc, BrokenPipeError):  # the reader is gone: no message
+                    return 1
+                print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+                return 2
         return 0
-    target = os.path.abspath(path)
+    target = os.path.realpath(path)  # a symlink's target is what gets rewritten
     tmp_name = None
     try:
+        try:
+            mode = os.stat(target).st_mode
+            if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):  # the rename would replace it
+                raise OSError(errno.EINVAL, "not a regular file")
+        except FileNotFoundError:  # a new file gets open()'s mode, 0o666 less the umask
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
         with tempfile.NamedTemporaryFile("w", dir=os.path.dirname(target),
                                          suffix=".tmp", delete=False,
                                          encoding="utf-8", newline="\n") as tmp:
             tmp_name = tmp.name
+            os.chmod(tmp_name, stat.S_IMODE(mode))
             tmp.writelines(pieces)
         os.replace(tmp_name, target)
     except OSError as exc:
@@ -134,13 +159,11 @@ def _sweep_text(kind: str, vary: str, fixed: dict, points: int, fmt: str):
     head, row, sep, tail, number = _SWEEP_FORMATS[fmt]
     cells = {axis: number % value for axis, value in fixed.items()}
     point = "".join(sep + row.format(channel=kind, player=k, payoff=number, **cells,
-                                     **{vary: "%s"}) for k in (1, 2, 3, 4))
+                                     **{vary: number}) for k in (1, 2, 3, 4))
 
-    def slices():
-        for axis, payoffs in game._sweep(kind, vary, fixed, points):
-            texts = np.array([number % x for x in axis.tolist()], dtype=object)
-            yield np.stack(np.broadcast_arrays(texts[:, None], payoffs), axis=-1)
-    return _table_text(head, point, sep, tail, slices())
+    slices = (np.stack(np.broadcast_arrays(axis[:, None], payoffs), -1)
+              for axis, payoffs in game._sweep(kind, vary, fixed, points))
+    return _table_text(head, point, sep, tail, slices)
 
 
 def cmd_sweep(args) -> int:
@@ -216,9 +239,9 @@ def _validate_checks(inject_broken: bool):
 
 def cmd_validate(args) -> int:
     checks = _validate_checks(args.inject_broken_channel)
-    for name, ok, detail in checks:
-        print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
-    return 0 if all(ok for _, ok, _ in checks) else 1
+    code = _write_output((f"{name}: {'PASS' if ok else 'FAIL'} ({detail})\n"
+                          for name, ok, detail in checks), None)
+    return code or (0 if all(ok for _, ok, _ in checks) else 1)
 
 
 def cmd_compare(args) -> int:
@@ -333,13 +356,7 @@ def main(argv=None) -> int:
     # looked up per call, so a cmd_* function replaced after import is the one run
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        code = command(args)
-        sys.stdout.flush()  # so a reader that closed the pipe is seen here, not at exit
-        return code
-    except BrokenPipeError:
-        # stdout's reader is gone: what is left to flush at exit goes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        return command(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

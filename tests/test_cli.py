@@ -2,6 +2,8 @@ import argparse
 import importlib.util
 import json
 import os
+import runpy
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +36,40 @@ def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env():
+    """The environment of a child process that imports the same package as this one."""
+    src = os.path.dirname(os.path.dirname(qminority.__file__))
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+class FailingStdout:
+    """A stdout whose writes raise ``error``; its descriptor is a file of its own."""
+
+    def __init__(self, error, path):
+        self.error, self.file = error, open(path, "w")
+
+    def write(self, text):
+        raise self.error
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.file.fileno()
+
+
+PAYOFF = ["payoff", "--channel", "pf", "--p", "0.3", "--mu", "0.2", "--gamma", "pi/2"]
+# one call of each command that writes a table, JSON or text to stdout
+STDOUT_CALLS = [
+    ["sweep", "--channel", "pf", "--vary", "p", "--mu", "0", "--gamma", "0", "--points", "3"],
+    ["compare", "--channel", "pf", "--p-points", "2", "--mu-points", "2"],
+    ["best-response", "--channel", "pf", "--p", "0", "--mu", "0", "--gamma", "0", "--grid", "2"],
+    PAYOFF,
+    ["validate"],
+]
 
 
 class TestAngleParsing:
@@ -315,6 +351,104 @@ class TestWriteErrors:
         code, out, err = run_cli(["sweep", "--channel", "pf", "--vary", "p", "--mu", "3",
                                   "--gamma", "pi/2", "--out", "/no_such_dir_qm/x.csv"], capsys)
         assert (code, out, err) == (2, "", "error: mu must be in [0, 1], got 3.0\n")
+
+    @pytest.mark.parametrize("argv", STDOUT_CALLS, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("error, expected", [
+        (BrokenPipeError(32, "Broken pipe"), (1, "")),
+        (OSError(28, "No space left on device"),
+         (2, "error: cannot write stdout: No space left on device\n")),
+    ], ids=["broken-pipe", "no-space"])
+    def test_failed_stdout_write(self, argv, error, expected, tmp_path, capsys, monkeypatch):
+        # a closed pipe exits 1 with no message, any other failure 2 with one line and
+        # no compare verdict; stdout's descriptor then points at devnull, whose own
+        # descriptor is closed, so the flush at exit writes nothing and raises nothing
+        devnulls, real_open = [], os.open
+
+        def recording_open(path, *args, **kwargs):
+            fd = real_open(path, *args, **kwargs)
+            if path == os.devnull:
+                devnulls.append(fd)
+            return fd
+
+        stdout = FailingStdout(error, tmp_path / "stdout")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(os, "open", recording_open)
+        code = cli.main(argv)
+        monkeypatch.undo()
+        try:
+            os.write(stdout.fileno(), b"after the failure")
+        finally:
+            stdout.file.close()
+        assert (code, capsys.readouterr().err) == expected
+        assert (tmp_path / "stdout").read_bytes() == b""
+        assert len(devnulls) == 1
+        with pytest.raises(OSError):
+            os.fstat(devnulls[0])
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [PAYOFF, STDOUT_CALLS[0], ["validate"]],
+                             ids=lambda argv: argv[0])
+    def test_full_device_exits_2_with_one_line(self, argv):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "qminority.cli"] + argv, stdout=full,
+                                  stderr=subprocess.PIPE, timeout=120, env=child_env())
+        assert (proc.returncode, proc.stderr) == (
+            2, b"error: cannot write stdout: No space left on device\n")
+
+
+class TestOutFile:
+    """``--out`` acts like ``open(path, "w")``, but all or nothing."""
+
+    def test_new_file_mode_follows_umask(self, tmp_path, capsys):
+        for umask, mode in ((0o022, 0o644), (0o077, 0o600), (0o002, 0o664)):
+            path = tmp_path / f"umask{umask:03o}.json"
+            old = os.umask(umask)
+            try:
+                code, _, _ = run_cli(PAYOFF + ["--out", str(path)], capsys)
+            finally:
+                os.umask(old)
+            assert (code, stat.S_IMODE(path.stat().st_mode)) == (0, mode)
+
+    def test_existing_file_keeps_its_mode(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        for mode in (0o640, 0o604, 0o664):
+            path.write_text("old")
+            path.chmod(mode)
+            old = os.umask(0o022)
+            try:
+                code, _, _ = run_cli(PAYOFF + ["--out", str(path)], capsys)
+            finally:
+                os.umask(old)
+            assert (code, stat.S_IMODE(path.stat().st_mode)) == (0, mode)
+            assert path.read_text() != "old"
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["target", "dangling"])
+    def test_symlink_target_is_rewritten(self, existing, tmp_path, capsys):
+        run_cli(PAYOFF + ["--out", str(tmp_path / "plain.json")], capsys)
+        (tmp_path / "data").mkdir()
+        target, link = tmp_path / "data" / "x.json", tmp_path / "link.json"
+        if existing:
+            target.write_text("old")
+        link.symlink_to(os.path.join("data", "x.json"))
+        assert run_cli(PAYOFF + ["--out", str(link)], capsys) == (0, "", "")
+        assert link.is_symlink() and os.readlink(link) == os.path.join("data", "x.json")
+        assert target.read_bytes() == (tmp_path / "plain.json").read_bytes()
+        assert sorted(os.listdir(tmp_path / "data")) == ["x.json"]
+
+    def test_fifo_is_refused_before_anything_is_created(self, tmp_path, capsys):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        assert run_cli(PAYOFF + ["--out", str(fifo)], capsys) == (
+            2, "", f"error: cannot write {fifo}: not a regular file\n")
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["fifo"]
+
+    def test_directory_is_refused(self, tmp_path, capsys):
+        directory = tmp_path / "d"
+        directory.mkdir()
+        assert run_cli(PAYOFF + ["--out", str(directory)], capsys) == (
+            2, "", f"error: cannot write {directory}: Is a directory\n")
+        assert os.listdir(tmp_path) == ["d"] and os.listdir(directory) == []
 
 
 class TestValidate:
@@ -645,3 +779,15 @@ class TestEntryPoint:
             proc.stdout.close()
             _, err = proc.communicate(timeout=120)
         assert (proc.returncode, err) == (1, b"")
+
+    def test_run_as_main_in_process(self, capsys, monkeypatch):
+        # the module's own entry point, `python -m qminority.cli`, run in this process;
+        # runpy warns when the module it runs is already imported
+        monkeypatch.delitem(sys.modules, "qminority.cli")
+        monkeypatch.setattr(sys, "argv", ["qminority"] + PAYOFF)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("qminority.cli", run_name="__main__")
+        as_main = (exc.value.code, capsys.readouterr().out)
+        monkeypatch.undo()
+        assert as_main == run_cli(PAYOFF, capsys)[:2]
+        assert as_main[0] == 0 and as_main[1].startswith("{")
