@@ -82,14 +82,18 @@ def _write_output(pieces, path: str | None) -> int:
         with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as spool:
             spool.writelines(pieces)
             spool.seek(0)
+            stdout = sys.stdout
             try:
-                shutil.copyfileobj(spool, sys.stdout)
-                sys.stdout.flush()  # so a failed write is seen here, not at exit
+                if stdout is None:  # the interpreter started with descriptor 1 closed
+                    raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+                shutil.copyfileobj(spool, stdout)
+                stdout.flush()  # so a failed write is seen here, not at exit
             except OSError as exc:
-                # what is left to flush at exit goes to devnull, so exit reports nothing
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, sys.stdout.fileno())
-                os.close(devnull)
+                if stdout is not None:
+                    # what is left to flush at exit goes to devnull, so exit reports nothing
+                    devnull = os.open(os.devnull, os.O_WRONLY)
+                    os.dup2(devnull, stdout.fileno())
+                    os.close(devnull)
                 if isinstance(exc, BrokenPipeError):  # the reader is gone: no message
                     return 1
                 print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)

@@ -273,15 +273,12 @@ def _slot(config: GameConfig, player: int):
     """The searched player's payoffs, as a function of an (n, 2, 2) stack of moves in
     their slot, on one Kraus-path setup of ``config``, and the form of those payoffs."""
     gate, rho, post, moves = _setup(config)
-    # a chunk makes at most CHUNK_POINTS // 4 Kraus products (one point if k is
-    # larger), so apply_kraus's (chunk, k, 16, 16) products stay within 1 MB
-    chunk = max(1, (CHUNK_POINTS // 4) // len(post))
 
     def play(stack: np.ndarray) -> np.ndarray:
         slot = list(moves)
         payoffs = []
-        for start in range(0, len(stack), chunk):
-            slot[player - 1] = stack[start:start + chunk]
+        for start in range(0, len(stack), CHUNK_POINTS):
+            slot[player - 1] = stack[start:start + CHUNK_POINTS]
             payoffs.append(_play(rho, slot, post, gate)[2][:, player - 1])
         return np.concatenate(payoffs)
     return play, _payoff_form(rho, post, moves, player)

@@ -24,6 +24,10 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 
+# apply_kraus forms at most this many A_k rho products at once, 256 KB for 16x16
+# states (one state's, if its set has more operators), however many states it gets
+KRAUS_PRODUCTS = 64
+
 _PAULI = (
     np.eye(2, dtype=complex),
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -84,9 +88,15 @@ def apply_kraus(rho: np.ndarray, kraus) -> np.ndarray:
         raise ValueError(f"Kraus completeness violated: residual {residual:.6g}")
     if rho.shape[-2:] != kraus.stack.shape[1:]:
         raise ValueError(f"state shape {rho.shape} does not fit Kraus stack {kraus.stack.shape}")
-    # every A_k rho in one product, laid out as (d, k*d), then one (d, k*d) @ (k*d, d) per state
+    # each group's A_k rho in one product, as (d, k*d), then one (d, k*d) @ (k*d, d) per state
     left, adjoint_rows = kraus._operands
-    return (left @ rho).reshape(*rho.shape[:-1], -1) @ adjoint_rows
+    states = rho.reshape(-1, *rho.shape[-2:])
+    out = np.empty(states.shape, dtype=complex)
+    group = max(1, KRAUS_PRODUCTS // len(kraus))
+    for start in range(0, len(states), group):
+        part = states[start:start + group]
+        out[start:start + group] = (left @ part).reshape(*part.shape[:-1], -1) @ adjoint_rows
+    return out.reshape(rho.shape)
 
 
 def completeness_residual(stack: np.ndarray) -> float:

@@ -395,6 +395,22 @@ class TestWriteErrors:
         assert (proc.returncode, proc.stderr) == (
             2, b"error: cannot write stdout: No space left on device\n")
 
+    @pytest.mark.parametrize("argv", [PAYOFF, STDOUT_CALLS[0]], ids=lambda argv: argv[0])
+    def test_missing_stdout_exits_2_with_one_line(self, argv, capsys, monkeypatch):
+        # an interpreter started with descriptor 1 closed has sys.stdout None
+        monkeypatch.setattr(sys, "stdout", None)
+        code = cli.main(argv)
+        monkeypatch.undo()
+        assert (code, capsys.readouterr().err) == (
+            2, "error: cannot write stdout: Bad file descriptor\n")
+
+    def test_closed_stdout_exits_2_with_one_line(self):
+        proc = subprocess.run([sys.executable, "-m", "qminority.cli"] + PAYOFF,
+                              preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE,
+                              timeout=120, env=child_env())
+        assert (proc.returncode, proc.stderr) == (
+            2, b"error: cannot write stdout: Bad file descriptor\n")
+
 
 class TestOutFile:
     """``--out`` acts like ``open(path, "w")``, but all or nothing."""
@@ -655,22 +671,34 @@ class TestBestResponse:
         assert (code, len(builds)) == (0, 1)
 
     @pytest.mark.parametrize("argv,count", [
-        # one move per 256-operator chunk: the pre-move state, the 10 screened
-        # candidates and ne_payoff
+        # the pre-move state, the 10 screened candidates and ne_payoff
         ("--channel dep --p 0.3 --mu 0.3 --gamma pi/2 --grid 9", 12),
-        # three moves per 18-operator chunk: the pre-move state, the 6 chunks of
-        # screened candidates and ne_payoff
-        ("--channel ad --p 0.4 --mu 0.3 --gamma pi/2", 8),
+        # the pre-move state, the 18 screened candidates and ne_payoff
+        ("--channel ad --p 0.4 --mu 0.3 --gamma pi/2", 20),
     ])
     def test_kraus_applies(self, argv, count, capsys, monkeypatch):
-        # the form reads the Kraus set's adjoint: it applies no set and builds no map
+        # the form reads the Kraus set's adjoint: it applies no set and builds no map;
+        # each state a Kraus set is applied to counts once
         applies = []
         apply = linalg.apply_kraus
-        monkeypatch.setattr(linalg, "apply_kraus",
-                            lambda rho, kraus: applies.append(kraus) or apply(rho, kraus))
+        monkeypatch.setattr(linalg, "apply_kraus", lambda rho, kraus: applies.append(
+            rho[..., 0, 0].size) or apply(rho, kraus))
         monkeypatch.setattr(channels, "channel_maps", reached)
         code, _, _ = run_cli(["best-response"] + argv.split(), capsys)
-        assert (code, len(applies)) == (0, count)
+        assert (code, sum(applies)) == (0, count)
+
+    @pytest.mark.parametrize("argv", [
+        "--channel dep --p 0.3 --mu 0.3 --gamma pi/2 --grid 9",
+        "--channel ad --p 0.4 --mu 0.3 --gamma pi/2",
+    ])
+    def test_one_play_per_replayed_slab(self, argv, capsys, monkeypatch):
+        # the benchmark's calls replay their candidates in one theta slab, played in
+        # one _play call however many Kraus operators there are; ne_payoff is the other
+        plays = []
+        play = game._play
+        monkeypatch.setattr(game, "_play", lambda *args: plays.append(args) or play(*args))
+        code, _, _ = run_cli(["best-response"] + argv.split(), capsys)
+        assert (code, len(plays)) == (0, 2)
 
     def test_grid_bound(self, capsys, monkeypatch):
         # the bound passes the argument checks and reaches the search's setup, a

@@ -28,7 +28,7 @@ triples = st.builds(game.StrategyTriple, st.floats(0.0, np.pi),
 
 @pytest.fixture
 def construction_counts(monkeypatch):
-    """Counts of Kraus-set builds and Kraus applications from here on."""
+    """Counts of Kraus-set builds and of the states Kraus sets are applied to from here on."""
     counts = {"build": 0, "apply": 0}
     build, apply = channels.build_channel, linalg.apply_kraus
 
@@ -37,7 +37,7 @@ def construction_counts(monkeypatch):
         return build(spec)
 
     def counted_apply(rho, kraus):
-        counts["apply"] += 1
+        counts["apply"] += rho[..., 0, 0].size
         return apply(rho, kraus)
     monkeypatch.setattr(channels, "build_channel", counted_build)
     monkeypatch.setattr(linalg, "apply_kraus", counted_apply)
@@ -343,14 +343,12 @@ class TestBestResponseSearch:
     def test_builds_and_enters_noise_once(self, construction_counts):
         # both stages match, so one Kraus set serves them both, and it and the
         # pre-move state are shared by the search; only the second noise stage
-        # runs, once per chunk of played moves. With 16 bit-flip operators a
-        # chunk is (CHUNK_POINTS // 4) // 16 = 4 moves, and the form reads the
-        # set's adjoint without applying it, so the pre-move state and the 7
-        # screened candidates, all in the theta = pi/2 slab, make
-        # 1 + ceil(7 / 4) = 3
+        # runs, on each played move. The form reads the set's adjoint without
+        # applying it, so the set is applied to the pre-move state and the 7
+        # screened candidates, all in the theta = pi/2 slab: 1 + 7 = 8
         game.best_response_search(ne_config("bit_flip", 0.2, 0.5), player=1,
                                   grid_points=5)
-        assert construction_counts == {"build": 1, "apply": 3}
+        assert construction_counts == {"build": 1, "apply": 8}
 
     @pytest.mark.parametrize("p,mu,grid,player,others", [
         (0.3, 0.3, 9, 1, None),
@@ -358,10 +356,8 @@ class TestBestResponseSearch:
     ])
     def test_kraus_applies_are_the_replays(self, p, mu, grid, player, others,
                                            construction_counts):
-        # 256 depolarizing operators exceed a chunk's CHUNK_POINTS // 4 Kraus products,
-        # so a chunk is one move, and the form applies no Kraus set: the set enters
-        # once for the pre-move state and once for each lattice point within the
-        # margin of the best score
+        # the form applies no Kraus set: the set is applied to the pre-move state
+        # and to each lattice point within the margin of the best score
         spec = channels.ChannelSpec("depolarizing", p, mu)
         cfg = game.GameConfig(gamma=np.pi / 2, noise_pre=spec, noise_post=spec,
                               strategies=None if others is None else (others,) * 4)
@@ -388,16 +384,16 @@ class TestBestResponseSearch:
         assert found == per_point_best(cfg, player, 5)
 
     @pytest.mark.parametrize("kind,p,mu,grid,gamma,others", [
-        ("bit_flip", 0.2, 0.5, 5, np.pi / 2, None),      # 16 operators, 4 points per chunk
-        ("depolarizing", 0.3, 0.3, 3, np.pi / 2, None),  # 256 operators, 1 point per chunk
-        ("phase_flip", 0.0, 0.0, 5, np.pi / 2, None),    # 1 operator, 64 points per chunk
+        ("bit_flip", 0.2, 0.5, 5, np.pi / 2, None),      # 16 operators, 4 states per group
+        ("depolarizing", 0.3, 0.3, 3, np.pi / 2, None),  # 256 operators, 1 state per group
+        ("phase_flip", 0.0, 0.0, 5, np.pi / 2, None),    # 1 operator, 64 states per group
         # against three classical stay moves at gamma = 0 the theta = pi flips
-        # win, and they all lie in the last, partial chunk
+        # win, and they all lie in the last slab
         ("phase_flip", 0.0, 0.0, 5, 0.0, (0.0, 0.0, 0.0)),
     ])
     def test_matches_per_point_run_game(self, kind, p, mu, grid, gamma, others):
-        # every lattice ends in a partial chunk; the search must agree exactly
-        # with a theta-major scan that plays each point through run_game
+        # apply_kraus takes the states of a slab in groups; the search must agree
+        # exactly with a theta-major scan that plays each point through run_game
         spec = channels.ChannelSpec(kind, p, mu)
         cfg = game.GameConfig(gamma=gamma, noise_pre=spec, noise_post=spec,
                               strategies=None if others is None else (others,) * 4)

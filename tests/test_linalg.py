@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,35 @@ class TestApplyKraus:
         assert out.shape == (n, 16, 16)
         for rho, got in zip(stack, out):
             assert np.array_equal(got, linalg.apply_kraus(rho, ks))
+
+    # 18 damping operators take 3 states a group, 256 depolarizing ones 1, so each
+    # stack spans several groups, in both a flat and a nested stack
+    @pytest.mark.parametrize("kind,n", [("amplitude_damping", 70), ("depolarizing", 3)])
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_groups_match_single_states_bitwise(self, kind, n, nested):
+        ks = channels.build_channel(channels.ChannelSpec(kind, 0.3, 0.4))
+        rng = np.random.default_rng(9)
+        stack = np.stack([random_density(rng) for _ in range(2 * n if nested else n)])
+        if nested:
+            stack = stack.reshape(2, n, 16, 16)
+        out = linalg.apply_kraus(stack, ks)
+        assert out.shape == stack.shape
+        for rho, got in zip(stack.reshape(-1, 16, 16), out.reshape(-1, 16, 16)):
+            assert got.tobytes() == linalg.apply_kraus(rho, ks).tobytes()
+
+    def test_products_stay_bounded(self):
+        # 40 states at once against 256 operators: all their products would be 40 MB
+        ks = channels.build_channel(channels.ChannelSpec("depolarizing", 0.3, 0.3))
+        rng = np.random.default_rng(10)
+        stack = np.stack([random_density(rng) for _ in range(40)])
+        ks(stack[0])  # lays out the operands, which the set keeps
+        tracemalloc.start()
+        try:
+            linalg.apply_kraus(stack, ks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20
 
     def test_stack_list_input_matches_kraus_set(self):
         ks = channels.build_channel(channels.ChannelSpec("bit_flip", 0.2, 0.5))
