@@ -13,6 +13,7 @@ and no traceback.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import errno
 import itertools
 import json
@@ -354,8 +355,31 @@ def build_parser() -> argparse.ArgumentParser:
 # The grammar is a constant of the program, built once at import
 _PARSER = build_parser()
 
+# mallopt parameters of glibc's <malloc.h>
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_heap() -> None:
+    """Have glibc keep freed memory for reuse, not hand it back to the kernel.
+
+    At glibc's dynamic thresholds, under 1 MB here, each ``evaluate`` chunk's stacks
+    go back to the kernel when the chunk ends, and the next chunk faults them in
+    again. Fixing the mmap threshold at 32 MiB, glibc's 64-bit maximum, turns the
+    dynamic rule off, so the trim threshold is fixed too, above it. Only ``main``
+    does this: importing the package leaves the host's allocator alone.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+        mallopt = ctypes.pythonapi.mallopt  # the process's own symbols, libc's among them
+    except (AttributeError, OSError, ValueError):  # no glibc confstr name, no mallopt
+        return
+    if libc.startswith("glibc "):
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
 
 def main(argv=None) -> int:
+    _keep_freed_heap()
     args = _PARSER.parse_args(argv)
     # looked up per call, so a cmd_* function replaced after import is the one run
     command = globals()["cmd_" + args.command.replace("-", "_")]

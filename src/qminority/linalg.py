@@ -129,9 +129,10 @@ class KrausSet:
     def _operands(self):
         """apply_kraus's read-only operands, laid out on first use: the (d*k, d) rows
         of every A_k, row i*k + j being row i of A_j, and the (k*d, d) rows of every A_k+."""
-        dim = self.stack.shape[-1]
-        operands = (self.stack.transpose(1, 0, 2).reshape(-1, dim),
-                    _dagger(self.stack).reshape(-1, dim))
+        dim, stack = self.stack.shape[-1], self.stack
+        # the adjoints conjugated straight into their row layout: one pass, no temporary
+        adjoints = np.conjugate(stack.swapaxes(-1, -2), out=np.empty_like(stack))
+        operands = (stack.transpose(1, 0, 2).reshape(-1, dim), adjoints.reshape(-1, dim))
         for array in operands:
             array.setflags(write=False)
         return operands

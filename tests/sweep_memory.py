@@ -1,11 +1,14 @@
-"""Peak RSS of a streamed ``sweep --out`` at two lengths.
+"""Peak RSS and minor page faults of a streamed ``sweep --out`` at two lengths.
 
-    PYTHONPATH=src python tests/sweep_memory.py 1000001 5
+    PYTHONPATH=src python tests/sweep_memory.py 1000001 5 10000
 
 runs ``sweep --channel pf --vary p --mu 0.3 --gamma pi/2 --out ...`` at 1,001
 points and at the given number of points, each in its own interpreter, prints
-both peaks and exits 1 if the longer sweep's peak RSS exceeds the shorter
-one's by more than the given number of MB.
+both peaks and both fault counts, and exits 1 if the longer sweep's peak RSS
+exceeds the shorter one's by more than the given number of MB, or, when a
+third bound is given, its minor faults exceed the shorter one's by more than
+that many. A sweep whose freed chunks go back to the kernel faults their pages
+in again on every chunk, about 4 faults a point.
 
 On Linux a process's ``ru_maxrss`` starts at the high-water RSS of the process
 that spawned it, so the sweeps must be spawned from a small interpreter like
@@ -26,34 +29,40 @@ _CLI = """
 import resource, sys
 from qminority import cli
 code = cli.main(sys.argv[1:])
-print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+usage = resource.getrusage(resource.RUSAGE_SELF)
+print(code, usage.ru_maxrss, usage.ru_minflt)
 """
 
 
-def cli_peak_rss_mb(argv: list[str]) -> float:
-    """Peak RSS in MB of one CLI call, in its own interpreter, written with --out."""
+def cli_usage(argv: list[str]) -> tuple[float, int]:
+    """Peak RSS in MB and minor page faults of one CLI call, in its own interpreter,
+    written with --out."""
     with tempfile.TemporaryDirectory() as tmp:
         proc = subprocess.run([sys.executable, "-c", _CLI, *argv,
                                "--out", os.path.join(tmp, "out")],
                               capture_output=True, text=True, check=True)
-    code, kilobytes = proc.stdout.split()
+    code, kilobytes, faults = proc.stdout.split()
     if code != "0":
         raise RuntimeError(f"{' '.join(argv)} exited {code}: {proc.stderr}")
-    return int(kilobytes) / 1024
+    return int(kilobytes) / 1024, int(faults)
 
 
-def peak_rss_mb(points: int) -> float:
-    """Peak RSS in MB of one sweep of ``points`` points written with --out."""
-    return cli_peak_rss_mb(["sweep", "--channel", "pf", "--vary", "p", "--mu", "0.3",
-                            "--gamma", "pi/2", "--points", str(points)])
+def sweep_usage(points: int) -> tuple[float, int]:
+    """Peak RSS in MB and minor faults of one sweep of ``points`` points, with --out."""
+    return cli_usage(["sweep", "--channel", "pf", "--vary", "p", "--mu", "0.3",
+                      "--gamma", "pi/2", "--points", str(points)])
 
 
 def main(argv: list[str]) -> int:
     points, bound_mb = int(argv[0]), float(argv[1])
-    base, peak = peak_rss_mb(BASE_POINTS), peak_rss_mb(points)
-    print(f"peak RSS {base:.1f} MB at {BASE_POINTS} points, {peak:.1f} MB at "
-          f"{points} points (bound +{bound_mb:g} MB)")
-    return 0 if peak - base <= bound_mb else 1
+    bound_faults = int(argv[2]) if len(argv) > 2 else None
+    (base, base_faults), (peak, faults) = sweep_usage(BASE_POINTS), sweep_usage(points)
+    print(f"{BASE_POINTS} points: peak RSS {base:.1f} MB, {base_faults} minor faults")
+    fault_bound = "none" if bound_faults is None else f"+{bound_faults}"
+    print(f"{points} points: peak RSS {peak:.1f} MB (bound +{bound_mb:g} MB), "
+          f"{faults} minor faults (bound {fault_bound})")
+    faults_ok = bound_faults is None or faults - base_faults <= bound_faults
+    return 0 if peak - base <= bound_mb and faults_ok else 1
 
 
 if __name__ == "__main__":

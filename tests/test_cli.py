@@ -1,7 +1,9 @@
 import argparse
+import ctypes
 import importlib.util
 import json
 import os
+import platform
 import runpy
 import stat
 import subprocess
@@ -331,6 +333,73 @@ class TestGrammar:
         for _ in range(3):
             cli._PARSER.parse_args(argv)
         assert vars(cli._PARSER.parse_args(argv)) == first == vars(cli.build_parser().parse_args(argv))
+
+
+# a child that runs main twice and prints the second run's exit code and minor faults
+_SECOND_SWEEP = """
+import resource, sys
+from qminority import cli
+cli.main(sys.argv[1:])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+code = cli.main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+# a child that prints the mallopt calls made by the imports, then by one main
+_MALLOPT_CALLS = """
+import ctypes, sys
+calls = []
+class Process:
+    def mallopt(self, param, value):
+        calls.append((param, value))
+        return 1
+ctypes.pythonapi = Process()
+import qminority, qminority.cli
+print(calls)
+print(qminority.cli.main(sys.argv[1:]), calls)
+"""
+GLIBC = platform.libc_ver()[0] == "glibc"
+
+
+class TestHeapPolicy:
+    """``main`` has glibc keep freed heap memory; importing the package does not."""
+
+    @pytest.mark.skipif(not GLIBC, reason="the policy is set through glibc's mallopt")
+    def test_second_sweep_faults_in_no_pages(self, tmp_path):
+        # the first sweep's pages are kept and reused: at default thresholds the
+        # second 101-point sweep faults in about 400 pages its chunks gave back
+        argv = ["sweep", "--channel", "pf", "--vary", "p", "--mu", "0.3", "--gamma",
+                "pi/2", "--points", "101", "--out", str(tmp_path / "sweep.csv")]
+        proc = subprocess.run([sys.executable, "-c", _SECOND_SWEEP, *argv],
+                              capture_output=True, text=True, timeout=120, env=child_env())
+        code, faults = proc.stdout.split()
+        assert code == "0", proc.stderr
+        assert int(faults) < 100
+
+    def test_set_by_main_not_by_import(self, tmp_path):
+        proc = subprocess.run([sys.executable, "-c", _MALLOPT_CALLS, *PAYOFF, "--out",
+                               str(tmp_path / "payoff.json")],
+                              capture_output=True, text=True, timeout=120, env=child_env())
+        # M_MMAP_THRESHOLD (-3) at glibc's 64-bit maximum, M_TRIM_THRESHOLD (-1) above it
+        policy = [(-3, 32 << 20), (-1, 64 << 20)] if GLIBC else []
+        assert proc.stdout == f"[]\n0 {policy}\n", proc.stderr
+
+    @pytest.mark.parametrize("libc", ["no confstr name", "not glibc", "no mallopt"])
+    def test_fallback_leaves_output_unchanged(self, libc, capsys, monkeypatch):
+        class OtherLibc:
+            def mallopt(self, param, value):
+                raise AssertionError("mallopt called off glibc")
+
+        want = run_cli(STDOUT_CALLS[0], capsys)
+        if libc == "no confstr name":
+            def confstr(name):
+                raise ValueError("unrecognized configuration name")
+            monkeypatch.setattr(os, "confstr", confstr)
+        elif libc == "not glibc":
+            monkeypatch.setattr(os, "confstr", lambda name: None)
+            monkeypatch.setattr(ctypes, "pythonapi", OtherLibc())
+        else:
+            monkeypatch.setattr(ctypes, "pythonapi", object())
+        assert run_cli(STDOUT_CALLS[0], capsys) == want
 
 
 class TestWriteErrors:

@@ -232,6 +232,17 @@ class TestApplyKrausLayout:
         want = [operator_sum(state, ks.stack) for state in rho.reshape(-1, 16, 16)]
         assert np.max(np.abs(got.reshape(-1, 16, 16) - want)) <= 1e-13
 
+    @pytest.mark.parametrize("kind", channels.KINDS)
+    def test_adjoint_rows_match_the_two_copy_layout(self, kind):
+        # conjugation is exact, so writing the adjoints in one pass changes no bit of
+        # the rows the two-copy expression conj, then transpose, then reshape made
+        grid = (0.0, 0.25, 0.5, 0.75, 1.0)
+        for p in grid:
+            for mu in grid:
+                ks = channels.build_channel(channels.ChannelSpec(kind, p, mu))
+                want = ks.stack.conj().swapaxes(-1, -2).reshape(-1, 16)
+                assert ks._operands[1].tobytes() == want.tobytes()
+
     def test_operands_laid_out_on_first_application(self):
         ks = channels.build_channel(channels.ChannelSpec("depolarizing", 0.3, 0.3))
         channels.verify_completeness(ks)
