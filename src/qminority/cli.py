@@ -1,13 +1,13 @@
 """Command line front end: sweeps, validation, comparison, best response.
 
 All output is deterministic: the same argument vector produces byte-identical
-stdout or files. Files are written to a temporary name in the target
-directory and renamed into place, so a failed run never leaves a half-written file,
-and stdout gets all of a command's output or none of it. Otherwise ``--out`` acts
-like ``open(path, "w")`` for symlinks and modes, but refuses a FIFO or device.
-Exit codes: 0 success, 1 validation/consistency failure, 2 usage error or failed
-write. A reader that closes stdout's pipe early ends the command with exit code 1
-and no traceback.
+stdout or files. Commands and their writer raise; ``main`` alone turns a failure
+into one ``error:`` line on stderr and an exit code: 0 success, 1 validation or
+consistency failure, 2 usage error or failed write, and 1 with no message when
+stdout's reader has gone. Output is all or nothing. ``--out`` writes a temporary
+file in the target's directory and renames it into place, so unlike ``open(path,
+"w")`` it needs a writable directory, leaves other hard links to the old file as
+they were, and refuses a FIFO or device; symlinks and modes act as with ``open``.
 """
 
 from __future__ import annotations
@@ -71,35 +71,37 @@ def parse_triple(text: str) -> game.StrategyTriple:
     return game.StrategyTriple(*(parse_angle(part) for part in parts))
 
 
-def _write_output(pieces, path: str | None) -> int:
+def _write_output(pieces, path: str | None) -> None:
     """Write the text pieces to ``path``, or to stdout for None or '-', all or nothing.
 
-    The one writer of every command's output and reporter of a failed write. A file
-    is written under a temporary name in its directory and renamed into place; stdout
-    output is spooled to a temporary file and copied out at the end. So an exception
-    while the pieces are produced leaves no output behind.
+    The one writer of every command's output. A file is written under a temporary
+    name in its directory and renamed into place; stdout output is spooled to an
+    anonymous temporary file and copied out at the end. So an exception while the
+    pieces are produced leaves no output behind. A failed write raises ValueError
+    naming stdout or the path, and a closed pipe on stdout raises BrokenPipeError.
     """
     if path in (None, "-"):
-        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as spool:
-            spool.writelines(pieces)
-            spool.seek(0)
-            stdout = sys.stdout
-            try:
+        stdout = sys.stdout
+        try:
+            with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as spool:
+                spool.writelines(pieces)
+                spool.seek(0)
                 if stdout is None:  # the interpreter started with descriptor 1 closed
                     raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-                shutil.copyfileobj(spool, stdout)
-                stdout.flush()  # so a failed write is seen here, not at exit
-            except OSError as exc:
-                if stdout is not None:
+                try:
+                    shutil.copyfileobj(spool, stdout)
+                    stdout.flush()  # so a failed write is seen here, not at exit
+                except OSError:
                     # what is left to flush at exit goes to devnull, so exit reports nothing
                     devnull = os.open(os.devnull, os.O_WRONLY)
                     os.dup2(devnull, stdout.fileno())
                     os.close(devnull)
-                if isinstance(exc, BrokenPipeError):  # the reader is gone: no message
-                    return 1
-                print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
-                return 2
-        return 0
+                    raise
+        except BrokenPipeError:  # the reader is gone: main exits 1 with no message
+            raise
+        except OSError as exc:
+            raise ValueError(f"cannot write stdout: {exc.strerror}") from None
+        return
     target = os.path.realpath(path)  # a symlink's target is what gets rewritten
     tmp_name = None
     try:
@@ -120,12 +122,10 @@ def _write_output(pieces, path: str | None) -> int:
         os.replace(tmp_name, target)
     except OSError as exc:
         # strerror only: the exception text names the random temporary file
-        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
     finally:
         if tmp_name and os.path.exists(tmp_name):
             os.unlink(tmp_name)
-    return 0
 
 
 # Table output per format: the text before the rows, one row (str.format fields, and
@@ -177,16 +177,14 @@ def cmd_sweep(args) -> int:
         value = getattr(args, axis)
         if axis == args.vary:
             if value is not None:
-                print(f"error: --{axis} conflicts with --vary {axis}", file=sys.stderr)
-                return 2
+                raise ValueError(f"--{axis} conflicts with --vary {axis}")
+        elif value is None:
+            raise ValueError(f"--{axis} is required when varying {args.vary}")
         else:
-            if value is None:
-                print(f"error: --{axis} is required when varying {args.vary}",
-                      file=sys.stderr)
-                return 2
             fixed[axis] = value
-    return _write_output(_sweep_text(args.channel, args.vary, fixed, args.points, args.format),
-                         args.out)
+    _write_output(_sweep_text(args.channel, args.vary, fixed, args.points, args.format),
+                  args.out)
+    return 0
 
 
 def _validate_checks(inject_broken: bool):
@@ -244,9 +242,9 @@ def _validate_checks(inject_broken: bool):
 
 def cmd_validate(args) -> int:
     checks = _validate_checks(args.inject_broken_channel)
-    code = _write_output((f"{name}: {'PASS' if ok else 'FAIL'} ({detail})\n"
-                          for name, ok, detail in checks), None)
-    return code or (0 if all(ok for _, ok, _ in checks) else 1)
+    _write_output((f"{name}: {'PASS' if ok else 'FAIL'} ({detail})\n"
+                   for name, ok, detail in checks), None)
+    return 0 if all(ok for _, ok, _ in checks) else 1
 
 
 def cmd_compare(args) -> int:
@@ -257,10 +255,8 @@ def cmd_compare(args) -> int:
     fields.update(channel=report.kind, verdict=report.verdict)
     slices = np.split(report.points, range(game.CHUNK_POINTS, len(report.points),
                                            game.CHUNK_POINTS))
-    code = _write_output(_table_text(head.format(**fields), sep + row.format(**fields), sep,
-                                     tail, slices), args.out)
-    if code != 0:
-        return code
+    _write_output(_table_text(head.format(**fields), sep + row.format(**fields), sep, tail,
+                              slices), args.out)
     print(f"{report.kind}: {report.verdict} "
           f"(max difference {report.max_difference:.6g})", file=sys.stderr)
     if report.kind == "phase_flip" and report.verdict == "inconsistent":
@@ -282,15 +278,14 @@ def cmd_best_response(args) -> int:
         "payoff": payoff,
         "ne_payoff": ne_payoff,
     }, indent=2) + "\n"
-    return _write_output((text,), args.out)
+    _write_output((text,), args.out)
+    return 0
 
 
 def cmd_payoff(args) -> int:
     strategies = args.strategy
     if strategies is not None and len(strategies) != 4:
-        print(f"error: --strategy must be given 4 times, got {len(strategies)}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"--strategy must be given 4 times, got {len(strategies)}")
     spec = channels.ChannelSpec(args.channel, args.p, args.mu)
     cfg = game.GameConfig(gamma=args.gamma, noise_pre=spec, noise_post=spec,
                           strategies=tuple(strategies) if strategies else None)
@@ -299,7 +294,8 @@ def cmd_payoff(args) -> int:
               "gamma": args.gamma}
     for k in range(4):
         result[f"payoff_{k + 1}"] = payoffs[k]
-    return _write_output((json.dumps(result, indent=2) + "\n",), args.out)
+    _write_output((json.dumps(result, indent=2) + "\n",), args.out)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,6 +386,8 @@ def main(argv=None) -> int:
         return 2
     except RuntimeError as exc:  # final-state validation failed
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # stdout's reader is gone: no message
         return 1
 
 

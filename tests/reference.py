@@ -10,6 +10,7 @@ also holds the helpers that several test modules share.
 from __future__ import annotations
 
 import gzip
+import importlib.util
 import itertools
 import json
 from functools import reduce
@@ -172,6 +173,11 @@ def sweep_axes(vary: str, fixed: dict, points: int = 101) -> tuple:
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# the benchmark's plans and output checks, loaded from bench/ without putting it on sys.path
+_spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 
 def recorded(*workloads: str) -> dict:

@@ -1,6 +1,7 @@
 import argparse
 import ctypes
-import importlib.util
+import errno
+import io
 import json
 import os
 import platform
@@ -8,6 +9,7 @@ import runpy
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -15,12 +17,8 @@ import pytest
 
 import qminority
 from qminority import channels, cli, formulas, game, linalg
-from reference import BENCH, FIGURE_SWEEPS, recorded
-
-# the benchmark's plans and output checks, loaded from bench/ without putting it on sys.path
-_spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-workloads = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
+import make_digests
+from reference import FIGURE_SWEEPS, recorded, workloads
 RECORDED_BEST_RESPONSES = recorded("best-response-ad", "best-response-dep")
 # the sweep, compare and validate calls, whose numbers all come from game.evaluate
 RECORDED_EVALUATIONS = recorded("figure-sweeps", "validate-compare")
@@ -473,6 +471,21 @@ class TestWriteErrors:
         assert (code, capsys.readouterr().err) == (
             2, "error: cannot write stdout: Bad file descriptor\n")
 
+    @pytest.mark.parametrize("fault", ["create", "write"])
+    def test_failed_spool_exits_2_with_one_line(self, fault, capsys, monkeypatch):
+        # stdout output goes through a temporary file first, which can fail too
+        class FullSpool(io.StringIO):
+            def writelines(self, lines):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def spool(*args, **kwargs):
+            if fault == "create":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return FullSpool()
+        monkeypatch.setattr(tempfile, "TemporaryFile", spool)
+        assert run_cli(PAYOFF, capsys) == (
+            2, "", "error: cannot write stdout: No space left on device\n")
+
     def test_closed_stdout_exits_2_with_one_line(self):
         proc = subprocess.run([sys.executable, "-m", "qminority.cli"] + PAYOFF,
                               preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE,
@@ -805,6 +818,24 @@ class TestRecordedEvaluations:
         got = {"code": code, "stdout": stdout, "stderr": stderr,
                "out": out.read_text(encoding="utf-8") if out.exists() else None}
         assert workloads.check(key.split(), got, RECORDED_EVALUATIONS[key]) == []
+
+
+class TestByteIdentity:
+    def test_every_call_matches_its_digest(self, tmp_path, monkeypatch):
+        # argparse wraps help and usage text to the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+        digests = json.loads(make_digests.DIGESTS.read_text())
+        argvs = make_digests.calls()
+        assert sorted(map(make_digests.key, argvs)) == sorted(digests)
+        differ = []
+        for argv in argvs:
+            got, want = make_digests.run(argv, tmp_path), digests[make_digests.key(argv)]
+            parts = [part for part in make_digests.PARTS if got[part] != want[part]]
+            if parts:
+                differ.append(f"  {make_digests.key(argv)}: {', '.join(parts)}")
+        assert not differ, (
+            f"{len(differ)} of {len(argvs)} calls differ from tests/cli_digests.json, "
+            "recorded on Python 3.11 and numpy 2.4.6 (CI's versions):\n" + "\n".join(differ))
 
 
 class TestPayoff:
