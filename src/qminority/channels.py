@@ -98,14 +98,9 @@ def pauli_memory_weights(kind: str, p: np.ndarray, mu: np.ndarray) -> np.ndarray
 def pauli_memory_kraus(kind: str, p: float, mu: float) -> KrausSet:
     """Markov-correlated Pauli channel on four qubits: one Kraus operator per
     error pattern with nonzero weight (see ``pauli_memory_weights``)."""
-    w = pauli_memory_weights(kind, np.array([p]), np.array([mu]))[0]
-    # the zero weights are exact (products with a vanishing branch probability);
-    # dropping them keeps 16 operators, not 256, for the single-axis channels
-    keep = w > 0.0
-    ops = _PAULI_STRINGS[keep]
-    # complex weights keep this one complex loop; the products are unchanged
-    ops *= np.sqrt(w[keep]).astype(complex)[:, None, None]
-    return KrausSet(ops)
+    if kind == "amplitude_damping":
+        raise ValueError("amplitude_damping is not a Pauli mixture channel")
+    return next(_kraus_sets(kind, [p], [mu]))
 
 
 def ad_uncorrelated_kraus(p: float) -> np.ndarray:
@@ -138,12 +133,30 @@ def ad_correlated_kraus(p: float) -> np.ndarray:
 
 def build_channel(spec: ChannelSpec) -> KrausSet:
     """Kraus set for one channel application."""
-    if spec.kind == "amplitude_damping":
-        stack = np.concatenate([
-            np.sqrt(1.0 - spec.mu) * ad_uncorrelated_kraus(spec.p),
-            np.sqrt(spec.mu) * ad_correlated_kraus(spec.p)])
-        return KrausSet(stack[np.abs(stack).max(axis=(1, 2)) > 0.0])
-    return pauli_memory_kraus(spec.kind, spec.p, spec.mu)
+    return next(_kraus_sets(spec.kind, [spec.p], [spec.mu]))
+
+
+def _kraus_sets(kind: str, p, mu):
+    """The Kraus set of ``build_channel`` at each of n (p, mu) points, in order, all
+    points checked first: Pauli weights in one call, damping tables once per run of p."""
+    p, mu = np.asarray(p, dtype=float), np.asarray(mu, dtype=float)
+    if kind != "amplitude_damping":
+        for w in pauli_memory_weights(kind, p, mu):  # checks the kind and every point
+            # the zero weights are exact (products with a vanishing branch probability);
+            # dropping them keeps 16 operators, not 256, for the single-axis channels
+            keep = w > 0.0
+            ops = _PAULI_STRINGS[keep]
+            # complex weights keep this one complex loop; the products are unchanged
+            ops *= np.sqrt(w[keep]).astype(complex)[:, None, None]
+            yield KrausSet(ops)
+        return
+    _check_points(kind, p, mu)
+    last = None
+    for p_i, mu_i in zip(p.tolist(), mu.tolist()):
+        if p_i != last:
+            last, uncorrelated, correlated = p_i, ad_uncorrelated_kraus(p_i), ad_correlated_kraus(p_i)
+        stack = np.concatenate([np.sqrt(1.0 - mu_i) * uncorrelated, np.sqrt(mu_i) * correlated])
+        yield KrausSet(stack[np.abs(stack).max(axis=(1, 2)) > 0.0])
 
 
 def channel_maps(kind: str, p: np.ndarray, mu: np.ndarray):

@@ -100,7 +100,10 @@ def _write_output(pieces, path: str | None) -> None:
         except BrokenPipeError:  # the reader is gone: main exits 1 with no message
             raise
         except OSError as exc:
-            raise ValueError(f"cannot write stdout: {exc.strerror}") from None
+            # ENOENT comes only from looking for the spool's directory, and tempfile's
+            # text for it lists every candidate, the working directory among them
+            reason = "no usable temporary directory" if exc.errno == errno.ENOENT else exc.strerror
+            raise ValueError(f"cannot write stdout: {reason}") from None
         return
     target = os.path.realpath(path)  # a symlink's target is what gets rewritten
     tmp_name = None
@@ -194,17 +197,15 @@ def _validate_checks(inject_broken: bool):
     worst = 0.0
     tampered = inject_broken
     for kind in channels.KINDS:
-        for p in grid:
-            for mu in grid:
-                ks = channels.build_channel(channels.ChannelSpec(kind, p, mu))
-                if tampered:
-                    # test hook: halve the first Kraus weight so the
-                    # completeness check has a known failure to catch
-                    stack = ks.stack.copy()
-                    stack[0] *= np.sqrt(0.5)
-                    ks = channels.KrausSet(stack)
-                    tampered = False
-                worst = max(worst, channels.verify_completeness(ks))
+        for ks in channels._kraus_sets(kind, np.repeat(grid, 5), np.tile(grid, 5)):
+            if tampered:
+                # test hook: halve the first Kraus weight so the
+                # completeness check has a known failure to catch
+                stack = ks.stack.copy()
+                stack[0] *= np.sqrt(0.5)
+                ks = channels.KrausSet(stack)
+                tampered = False
+            worst = max(worst, channels.verify_completeness(ks))
     checks.append(("channel completeness", worst <= linalg.COMPLETENESS_TOL,
                    f"max residual {worst:.3e}"))
 

@@ -105,8 +105,8 @@ def completeness_residual(stack: np.ndarray) -> float:
     # x.T @ x on the (re, im) float view holds every sum: no conjugate copy of the stack
     x = np.ascontiguousarray(stack, dtype=complex).reshape(-1, dim).view(float)
     gram = (x.T @ x).reshape(dim, 2, dim, 2)
-    return float(np.max(np.hypot(gram[:, 0, :, 0] + gram[:, 1, :, 1] - np.eye(dim),
-                                 gram[:, 0, :, 1] - gram[:, 1, :, 0])))
+    return float(np.hypot(gram[:, 0, :, 0] + gram[:, 1, :, 1] - np.eye(dim),
+                          gram[:, 0, :, 1] - gram[:, 1, :, 0]).max())
 
 
 class KrausSet:

@@ -62,6 +62,10 @@ class TestMemoryKraus:
         ks = channels.pauli_memory_kraus(kind, p, mu)
         assert ks.completeness_residual <= 1e-12
 
+    def test_rejects_amplitude_damping(self):
+        with pytest.raises(ValueError, match="not a Pauli mixture channel"):
+            channels.pauli_memory_kraus("amplitude_damping", 0.3, 0.5)
+
     def test_no_zero_operators(self):
         for kind in channels.PAULI_KINDS:
             ks = channels.pauli_memory_kraus(kind, 0.0, 0.3)
@@ -292,6 +296,42 @@ class TestExactStacks:
         expected = np.stack([reference.chain_weight(alpha, mu, idx)
                              for idx in reference.PATTERNS], axis=1)
         assert channels.pauli_memory_weights(kind, p, mu).tobytes() == expected.tobytes()
+
+
+class TestKrausSets:
+    """The batched constructor against its own one-point case, ``build_channel``."""
+
+    @pytest.mark.parametrize("kind", channels.KINDS)
+    @pytest.mark.parametrize("grid", ["exact", "distinct-p"])
+    def test_batch_matches_one_point_calls(self, kind, grid):
+        if grid == "exact":  # p-major, so each p repeats 11 times in a row
+            p, mu = np.repeat(EXACT_GRID, 11), np.tile(EXACT_GRID, 11)
+        else:
+            p, mu = np.linspace(0.0, 1.0, 121), np.random.default_rng(17).random(121)
+        sets = list(channels._kraus_sets(kind, p, mu))
+        assert len(sets) == len(p)
+        for ks, p_i, mu_i in zip(sets, p.tolist(), mu.tolist()):
+            one = channels.build_channel(channels.ChannelSpec(kind, p_i, mu_i)).stack
+            assert ks.stack.shape == one.shape, (p_i, mu_i)
+            assert ks.stack.tobytes() == one.tobytes(), (p_i, mu_i)
+
+    @pytest.mark.parametrize("kind", channels.KINDS)
+    @pytest.mark.parametrize("p, mu, bad", [
+        ([0.2, 0.3, 1.5, 0.4, -1.0], [0.0, 0.5, 0.5, 2.0, 0.0], 2),
+        ([0.3, 0.3, 0.3, 0.3], [0.0, 0.5, -0.25, 1.5], 2),
+        ([0.1, 0.2, 0.3, 0.4], [0.0, 0.5, 1.0, float("nan")], 3),
+    ], ids=["p", "mu-with-p-repeating", "last-nan"])
+    def test_first_bad_point_raises_before_any_set(self, kind, p, mu, bad):
+        with pytest.raises(ValueError) as spec_error:
+            channels.ChannelSpec(kind, p[bad], mu[bad])
+        sets = channels._kraus_sets(kind, np.array(p), np.array(mu))
+        with pytest.raises(ValueError) as batch_error:
+            next(sets)
+        assert str(batch_error.value) == str(spec_error.value)
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown channel kind 'dephasing'"):
+            next(channels._kraus_sets("dephasing", [0.1], [0.1]))
 
 
 @pytest.fixture(scope="module")

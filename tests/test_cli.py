@@ -486,6 +486,20 @@ class TestWriteErrors:
         assert run_cli(PAYOFF, capsys) == (
             2, "", "error: cannot write stdout: No space left on device\n")
 
+    def test_no_usable_temporary_directory_exits_2_with_one_fixed_line(self, capsys,
+                                                                      monkeypatch):
+        # tempfile's own error lists the candidate directories, the working directory
+        # among them; the line printed names none of them
+        def spool(*args, **kwargs):
+            raise FileNotFoundError(
+                errno.ENOENT, "No usable temporary directory found in "
+                f"{['/tmp', '/var/tmp', '/usr/tmp', os.getcwd()]}")
+        monkeypatch.setattr(tempfile, "TemporaryFile", spool)
+        code, out, err = run_cli(PAYOFF, capsys)
+        assert (code, out, err) == (
+            2, "", "error: cannot write stdout: no usable temporary directory\n")
+        assert len(err.splitlines()) == 1 and "/" not in err
+
     def test_closed_stdout_exits_2_with_one_line(self):
         proc = subprocess.run([sys.executable, "-m", "qminority.cli"] + PAYOFF,
                               preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE,
@@ -584,7 +598,28 @@ class TestValidate:
         code, out, _ = run_cli(["validate", "--inject-broken-channel"], capsys)
         assert code == 1
         failing = [line for line in out.splitlines() if "FAIL" in line]
-        assert any("completeness" in line for line in failing)
+        assert [line.split(":")[0] for line in failing] == ["channel completeness"]
+
+    def test_builds_its_sets_in_five_batched_calls(self, capsys, monkeypatch):
+        # the 125 completeness sets come from one p-major 5x5 batch per kind; the one
+        # build_channel call is the equilibrium search's own phase-flip set
+        batches, builds = [], []
+        kraus_sets, build = channels._kraus_sets, channels.build_channel
+
+        def counted_sets(kind, p, mu):
+            batches.append((kind, np.asarray(p).tolist(), np.asarray(mu).tolist()))
+            return kraus_sets(kind, p, mu)
+        monkeypatch.setattr(channels, "_kraus_sets", counted_sets)
+        monkeypatch.setattr(channels, "build_channel",
+                            lambda spec: builds.append(spec) or build(spec))
+        code, _, _ = run_cli(["validate"], capsys)
+        grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+        p, mu = [x for x in grid for _ in grid], grid * 5
+        assert code == 0
+        assert [batch for batch in batches if len(batch[1]) > 1] == [
+            (kind, p, mu) for kind in channels.KINDS]
+        assert builds == [channels.ChannelSpec("phase_flip", 0.0, 0.0)]
+        assert len(batches) == len(channels.KINDS) + len(builds)
 
 
 class TestCompare:
