@@ -100,7 +100,7 @@ def pauli_memory_kraus(kind: str, p: float, mu: float) -> KrausSet:
     error pattern with nonzero weight (see ``pauli_memory_weights``)."""
     if kind == "amplitude_damping":
         raise ValueError("amplitude_damping is not a Pauli mixture channel")
-    return next(_kraus_sets(kind, [p], [mu]))
+    return KrausSet(next(_kraus_sets(kind, [p], [mu])))
 
 
 def ad_uncorrelated_kraus(p: float) -> np.ndarray:
@@ -133,12 +133,13 @@ def ad_correlated_kraus(p: float) -> np.ndarray:
 
 def build_channel(spec: ChannelSpec) -> KrausSet:
     """Kraus set for one channel application."""
-    return next(_kraus_sets(spec.kind, [spec.p], [spec.mu]))
+    return KrausSet(next(_kraus_sets(spec.kind, [spec.p], [spec.mu])))
 
 
 def _kraus_sets(kind: str, p, mu):
-    """The Kraus set of ``build_channel`` at each of n (p, mu) points, in order, all
-    points checked first: Pauli weights in one call, damping tables once per run of p."""
+    """The (k, 16, 16) Kraus stack of ``build_channel`` at each of n (p, mu) points, in
+    order, all points checked first: Pauli weights in one call, damping tables once per
+    run of p. Each stack is a new writable array that shares memory with no other."""
     p, mu = np.asarray(p, dtype=float), np.asarray(mu, dtype=float)
     if kind != "amplitude_damping":
         for w in pauli_memory_weights(kind, p, mu):  # checks the kind and every point
@@ -148,7 +149,7 @@ def _kraus_sets(kind: str, p, mu):
             ops = _PAULI_STRINGS[keep]
             # complex weights keep this one complex loop; the products are unchanged
             ops *= np.sqrt(w[keep]).astype(complex)[:, None, None]
-            yield KrausSet(ops)
+            yield ops
         return
     _check_points(kind, p, mu)
     last = None
@@ -156,7 +157,7 @@ def _kraus_sets(kind: str, p, mu):
         if p_i != last:
             last, uncorrelated, correlated = p_i, ad_uncorrelated_kraus(p_i), ad_correlated_kraus(p_i)
         stack = np.concatenate([np.sqrt(1.0 - mu_i) * uncorrelated, np.sqrt(mu_i) * correlated])
-        yield KrausSet(stack[np.abs(stack).max(axis=(1, 2)) > 0.0])
+        yield stack[np.abs(stack).max(axis=(1, 2)) > 0.0]
 
 
 def channel_maps(kind: str, p: np.ndarray, mu: np.ndarray):

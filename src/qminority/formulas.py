@@ -19,8 +19,8 @@ from . import channels, game
 
 PF_TOLERANCE = 1e-10
 DEFAULT_TOLERANCE = 5e-3
-# compare fills one (n, 5) float array, 40 bytes a cell, CHUNK_POINTS cells at a
-# time, and streams its text: peak RSS grows ~0.08 KB a cell
+# compare keeps one (k, 5) float array per CHUNK_POINTS cells, 40 bytes a cell, and
+# streams its text: peak RSS grows ~0.08 KB a cell
 _MAX_GRID_CELLS = 100_000
 
 
@@ -143,7 +143,7 @@ class DiscrepancyReport:
 
 
 def _compare(kind: str, grid: tuple[int, int], gamma: float) -> DiscrepancyReport:
-    """compare's report with points an (n, 5) array: p, mu, formula, simulated, difference."""
+    """compare's report with points (k, 5) slices: p, mu, formula, simulated, difference."""
     p_points, mu_points = grid
     if p_points < 2 or mu_points < 2:
         raise ValueError(f"grid must be at least 2x2, got {grid}")
@@ -153,17 +153,16 @@ def _compare(kind: str, grid: tuple[int, int], gamma: float) -> DiscrepancyRepor
     _check(kind, 0.0, 0.0, gamma)  # the grid lies in [0, 1] x [0, 1]
     tolerance = PF_TOLERANCE if kind == "phase_flip" else DEFAULT_TOLERANCE
     p_axis, mu_axis = np.linspace(0.0, 1.0, p_points), np.linspace(0.0, 1.0, mu_points)
-    points = np.empty((p_points * mu_points, 5))
-    for start in range(0, len(points), game.CHUNK_POINTS):
-        part = points[start:start + game.CHUNK_POINTS]  # cells p-major, then mu
-        p_index, mu_index = np.divmod(np.arange(start, start + len(part)), mu_points)
-        p, mu = p_axis[p_index], mu_axis[mu_index]
+    points = []
+    for start in range(0, p_points * mu_points, game.CHUNK_POINTS):
+        cells = np.arange(start, min(start + game.CHUNK_POINTS, p_points * mu_points))
+        p, mu = p_axis[cells // mu_points], mu_axis[cells % mu_points]  # p-major, then mu
         expected = _FORMS[kind](p, mu, gamma)
         simulated = game.evaluate(kind, p, mu, gamma).payoffs[:, 0]
-        part[:] = np.stack((p, mu, expected, simulated, np.abs(expected - simulated)), -1)
-    max_difference = float(points[:, 4].max())
+        points.append(np.stack((p, mu, expected, simulated, np.abs(expected - simulated)), -1))
+    max_difference = float(np.max([part[:, 4].max() for part in points]))
     verdict = "consistent" if max_difference < tolerance else "inconsistent"
-    return DiscrepancyReport(kind, gamma, tolerance, points, max_difference, verdict)
+    return DiscrepancyReport(kind, gamma, tolerance, tuple(points), max_difference, verdict)
 
 
 def compare(kind: str, grid: tuple[int, int], gamma: float) -> DiscrepancyReport:
@@ -174,7 +173,8 @@ def compare(kind: str, grid: tuple[int, int], gamma: float) -> DiscrepancyReport
     completes.
     """
     report = _compare(kind, grid, gamma)
-    return replace(report, points=tuple(map(ComparisonPoint._make, report.points.tolist())))
+    return replace(report, points=tuple(map(ComparisonPoint._make,
+                                            np.concatenate(report.points).tolist())))
 
 
 class OverlapPoint(NamedTuple):

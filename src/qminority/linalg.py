@@ -10,7 +10,7 @@ need them so callers cannot skip them by accident.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -124,18 +124,14 @@ class KrausSet:
             raise ValueError(f"Kraus set must be an (n, d, d) stack, got {self.stack.shape}")
         self.stack.setflags(write=False)
         self.completeness_residual = completeness_residual(self.stack)
-
-    @cached_property
-    def _operands(self):
-        """apply_kraus's read-only operands, laid out on first use: the (d*k, d) rows
-        of every A_k, row i*k + j being row i of A_j, and the (k*d, d) rows of every A_k+."""
+        # apply_kraus's read-only operands: the (d*k, d) rows of every A_k, row i*k + j
+        # being row i of A_j, and the (k*d, d) rows of every A_k+, the adjoints
+        # conjugated straight into their row layout: one pass, no temporary
         dim, stack = self.stack.shape[-1], self.stack
-        # the adjoints conjugated straight into their row layout: one pass, no temporary
         adjoints = np.conjugate(stack.swapaxes(-1, -2), out=np.empty_like(stack))
-        operands = (stack.transpose(1, 0, 2).reshape(-1, dim), adjoints.reshape(-1, dim))
-        for array in operands:
+        self._operands = (stack.transpose(1, 0, 2).reshape(-1, dim), adjoints.reshape(-1, dim))
+        for array in self._operands:
             array.setflags(write=False)
-        return operands
 
     def __len__(self) -> int:
         return len(self.stack)

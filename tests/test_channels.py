@@ -308,12 +308,40 @@ class TestKrausSets:
             p, mu = np.repeat(EXACT_GRID, 11), np.tile(EXACT_GRID, 11)
         else:
             p, mu = np.linspace(0.0, 1.0, 121), np.random.default_rng(17).random(121)
-        sets = list(channels._kraus_sets(kind, p, mu))
-        assert len(sets) == len(p)
-        for ks, p_i, mu_i in zip(sets, p.tolist(), mu.tolist()):
+        stacks = list(channels._kraus_sets(kind, p, mu))
+        assert len(stacks) == len(p)
+        for stack, p_i, mu_i in zip(stacks, p.tolist(), mu.tolist()):
             one = channels.build_channel(channels.ChannelSpec(kind, p_i, mu_i)).stack
-            assert ks.stack.shape == one.shape, (p_i, mu_i)
-            assert ks.stack.tobytes() == one.tobytes(), (p_i, mu_i)
+            assert stack.shape == one.shape, (p_i, mu_i)
+            assert stack.tobytes() == one.tobytes(), (p_i, mu_i)
+
+    @pytest.mark.parametrize("kind", channels.KINDS)
+    def test_stacks_are_fresh_writable_arrays(self, kind, monkeypatch):
+        # validate's tamper hook scales a yielded stack in place, so no stack may share
+        # memory with the Pauli strings, the damping tables or another stack
+        tables = [channels._PAULI_STRINGS]
+        for name in ("ad_uncorrelated_kraus", "ad_correlated_kraus"):
+            monkeypatch.setattr(channels, name, lambda p, table=getattr(channels, name):
+                                tables.append(table(p)) or tables[-1])
+        p, mu = np.repeat(GRID, 5), np.tile(GRID, 5)
+        stacks = list(channels._kraus_sets(kind, p, mu))
+        assert len(stacks) == 25
+        assert len(tables) == (1 if kind in channels.PAULI_KINDS else 11)
+        for i, stack in enumerate(stacks):
+            assert type(stack) is np.ndarray and stack.flags.writeable
+            for other in tables + stacks[:i]:
+                assert not np.shares_memory(stack, other)
+
+    @pytest.mark.parametrize("kind", channels.KINDS)
+    def test_public_constructors_return_read_only_sets(self, kind):
+        sets = [channels.build_channel(channels.ChannelSpec(kind, 0.3, 0.4))]
+        if kind in channels.PAULI_KINDS:
+            sets.append(channels.pauli_memory_kraus(kind, 0.3, 0.4))
+        for ks in sets:
+            assert type(ks) is linalg.KrausSet
+            assert not ks.stack.flags.writeable
+            with pytest.raises(ValueError):
+                ks.stack[0, 0, 0] = 1.0
 
     @pytest.mark.parametrize("kind", channels.KINDS)
     @pytest.mark.parametrize("p, mu, bad", [

@@ -621,6 +621,17 @@ class TestValidate:
         assert builds == [channels.ChannelSpec("phase_flip", 0.0, 0.0)]
         assert len(batches) == len(channels.KINDS) + len(builds)
 
+    @pytest.mark.parametrize("argv", [["validate"], ["validate", "--inject-broken-channel"]])
+    def test_checks_completeness_on_plain_stacks(self, argv, capsys, monkeypatch):
+        # the 125 completeness residuals come from plain stacks; the one set built is
+        # the equilibrium search's, which it applies
+        inits, init = [], linalg.KrausSet.__init__
+        monkeypatch.setattr(linalg.KrausSet, "__init__",
+                            lambda ks, operators: inits.append(ks) or init(ks, operators))
+        code, _, _ = run_cli(argv, capsys)
+        assert code == (1 if len(argv) > 1 else 0)
+        assert len(inits) == 1
+
 
 class TestCompare:
     def test_phase_flip_clean(self, capsys):

@@ -171,7 +171,6 @@ class TestApplyKraus:
         ks = channels.build_channel(channels.ChannelSpec("depolarizing", 0.3, 0.3))
         rng = np.random.default_rng(10)
         stack = np.stack([random_density(rng) for _ in range(40)])
-        ks(stack[0])  # lays out the operands, which the set keeps
         tracemalloc.start()
         try:
             linalg.apply_kraus(stack, ks)
@@ -243,18 +242,16 @@ class TestApplyKrausLayout:
                 want = ks.stack.conj().swapaxes(-1, -2).reshape(-1, 16)
                 assert ks._operands[1].tobytes() == want.tobytes()
 
-    def test_operands_laid_out_on_first_application(self):
+    def test_operands_laid_out_at_construction(self):
         ks = channels.build_channel(channels.ChannelSpec("depolarizing", 0.3, 0.3))
-        channels.verify_completeness(ks)
-        assert "_operands" not in vars(ks)
-        rho = random_density(np.random.default_rng(13))
-        first = ks(rho)
         left, adjoint_rows = operands = vars(ks)["_operands"]
         assert left.shape == adjoint_rows.shape == (16 * len(ks), 16)
         for array in operands:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
+        rho = random_density(np.random.default_rng(13))
+        first = ks(rho)
         assert np.array_equal(linalg.apply_kraus(rho, ks), first)
         assert all(a is b for a, b in zip(vars(ks)["_operands"], operands))
 
