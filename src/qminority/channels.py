@@ -44,12 +44,16 @@ class ChannelSpec:
             raise ValueError(f"mu must be in [0, 1], got {self.mu}")
 
 
-# Factor index patterns in itertools.product order, and the Pauli string of
-# each of the 256 error patterns; built once, at import
+# Factor index patterns in itertools.product order. Each pattern's Pauli string has
+# one nonzero entry per row, in row i at column i ^ x (x the qubits its X and Y flip):
+# _PAULI_COLUMNS holds those columns and _PAULI_PHASES those entries, each the product
+# linalg.tensor forms of the single-qubit Paulis' nonzero entries in that row
 _PAULI_PATTERNS = np.array(list(itertools.product(range(4), repeat=N_QUBITS)))
-_PAULI_STRINGS = linalg.tensor(np.stack([linalg.pauli(i) for i in range(4)])
-                               [_PAULI_PATTERNS.T])
-_PAULI_STRINGS.setflags(write=False)
+_PAULI_COLUMNS = np.arange(16) ^ (np.array([0, 1, 1, 0])[_PAULI_PATTERNS] @ [8, 4, 2, 1])[:, None]
+_PAULI_PHASES = linalg.tensor(np.stack([m[m != 0][:, None] for m in map(linalg.pauli, range(4))])
+                              [_PAULI_PATTERNS.T])[..., 0]
+_PAULI_COLUMNS.setflags(write=False)
+_PAULI_PHASES.setflags(write=False)
 # A Pauli string X^x Z^z (up to a phase) maps rho[i, j] to (-1)^(z.(i^j)) rho[i^x, j^x].
 # On each band rho[i, i ^ d], whose flat indices are _BANDS[:, d] (a gather that is its
 # own inverse), that is an XOR convolution along i with kernel sum_z W[x, z] (-1)^(z.d).
@@ -146,9 +150,11 @@ def _kraus_sets(kind: str, p, mu):
             # the zero weights are exact (products with a vanishing branch probability);
             # dropping them keeps 16 operators, not 256, for the single-axis channels
             keep = w > 0.0
-            ops = _PAULI_STRINGS[keep]
-            # complex weights keep this one complex loop; the products are unchanged
-            ops *= np.sqrt(w[keep]).astype(complex)[:, None, None]
+            ops = np.zeros((np.count_nonzero(keep), 16, 16), dtype=complex)
+            # each nonzero entry is phase * sqrt(w), the complex product of the full
+            # string's entry and the weight
+            ops[np.arange(len(ops))[:, None], np.arange(16), _PAULI_COLUMNS[keep]] = (
+                _PAULI_PHASES[keep] * np.sqrt(w[keep]).astype(complex)[:, None])
             yield ops
         return
     _check_points(kind, p, mu)

@@ -77,12 +77,12 @@ def conjugate(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
 def apply_kraus(rho: np.ndarray, kraus) -> np.ndarray:
     """Operator sum rho -> sum_k A_k rho A_k+, broadcast over a stack of states.
 
-    ``kraus`` is a KrausSet, or operators that are copied into a new one, so a
-    caller's array is never adopted. Completeness (sum A+A = I) is checked on
-    every call against the residual the set carries from construction.
+    ``kraus`` is a KrausSet, or operators that a new one copies, so a later write
+    to a caller's array changes no application. Completeness (sum A+A = I) is
+    checked on every call against the residual the set carries from construction.
     """
     if not isinstance(kraus, KrausSet):
-        kraus = KrausSet(np.array(kraus, dtype=complex))
+        kraus = KrausSet(kraus)
     residual = kraus.completeness_residual
     if not residual <= COMPLETENESS_TOL:  # a nan residual fails too
         raise ValueError(f"Kraus completeness violated: residual {residual:.6g}")
@@ -112,26 +112,30 @@ def completeness_residual(stack: np.ndarray) -> float:
 class KrausSet:
     """Read-only (n, d, d) stack of Kraus operators with its completeness residual.
 
-    A complex ndarray is adopted as the stack, not copied. Iterating the set
-    yields its rows; calling it is the channel, ``ks(rho) == apply_kraus(rho, ks)``.
+    The operators are copied once, into the row layout of ``apply_kraus``'s first
+    product, and ``stack`` is an (n, d, d) view of that copy: the caller's array is
+    neither kept nor frozen. Iterating the set yields its rows; calling it is the
+    channel, ``ks(rho) == apply_kraus(rho, ks)``.
     """
 
     def __init__(self, operators):
-        self.stack = np.asarray(operators, dtype=complex)
-        if not self.stack.size:
+        operators = np.asarray(operators, dtype=complex)
+        if not operators.size:
             raise ValueError("empty Kraus set")
-        if self.stack.ndim != 3 or self.stack.shape[1] != self.stack.shape[2]:
-            raise ValueError(f"Kraus set must be an (n, d, d) stack, got {self.stack.shape}")
-        self.stack.setflags(write=False)
-        self.completeness_residual = completeness_residual(self.stack)
+        if operators.ndim != 3 or operators.shape[1] != operators.shape[2]:
+            raise ValueError(f"Kraus set must be an (n, d, d) stack, got {operators.shape}")
+        self.completeness_residual = completeness_residual(operators)
         # apply_kraus's read-only operands: the (d*k, d) rows of every A_k, row i*k + j
-        # being row i of A_j, and the (k*d, d) rows of every A_k+, the adjoints
-        # conjugated straight into their row layout: one pass, no temporary
-        dim, stack = self.stack.shape[-1], self.stack
-        adjoints = np.conjugate(stack.swapaxes(-1, -2), out=np.empty_like(stack))
-        self._operands = (stack.transpose(1, 0, 2).reshape(-1, dim), adjoints.reshape(-1, dim))
-        for array in self._operands:
-            array.setflags(write=False)
+        # being row i of A_j, which the stack views, and the (k*d, d) rows of every
+        # A_k+, the adjoints conjugated straight into their row layout
+        dim = operators.shape[-1]
+        rows = operators.swapaxes(0, 1).copy()  # C order, so never the caller's array
+        adjoints = np.empty(operators.shape, dtype=complex)
+        np.conjugate(rows.transpose(1, 2, 0), out=adjoints)
+        for array in (rows, adjoints):
+            array.setflags(write=False)  # and with them every view below
+        self.stack = rows.swapaxes(0, 1)
+        self._operands = (rows.reshape(-1, dim), adjoints.reshape(-1, dim))
 
     def __len__(self) -> int:
         return len(self.stack)

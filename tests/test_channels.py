@@ -297,6 +297,23 @@ class TestExactStacks:
                              for idx in reference.PATTERNS], axis=1)
         assert channels.pauli_memory_weights(kind, p, mu).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("kind", channels.PAULI_KINDS)
+    def test_nonzero_entries_match_scaled_strings_bytewise(self, kind):
+        # array_equal cannot see the sign of a zero, so every nonzero entry's bytes are
+        # held to the full-string construction: the Pauli strings of linalg.tensor,
+        # each times its sqrt(w) as a complex product
+        strings = linalg.tensor(np.stack([linalg.pauli(i) for i in range(4)])
+                                [np.array(reference.PATTERNS).T])
+        for p in EXACT_GRID:
+            for mu in EXACT_GRID:
+                w = channels.pauli_memory_weights(kind, np.array([p]), np.array([mu]))[0]
+                keep = w > 0.0
+                want = strings[keep] * np.sqrt(w[keep]).astype(complex)[:, None, None]
+                got = channels.build_channel(channels.ChannelSpec(kind, p, mu)).stack
+                nonzero = want != 0
+                assert np.array_equal(got != 0, nonzero), (p, mu)
+                assert got[nonzero].tobytes() == want[nonzero].tobytes(), (p, mu)
+
 
 class TestKrausSets:
     """The batched constructor against its own one-point case, ``build_channel``."""
@@ -318,19 +335,25 @@ class TestKrausSets:
     @pytest.mark.parametrize("kind", channels.KINDS)
     def test_stacks_are_fresh_writable_arrays(self, kind, monkeypatch):
         # validate's tamper hook scales a yielded stack in place, so no stack may share
-        # memory with the Pauli strings, the damping tables or another stack
-        tables = [channels._PAULI_STRINGS]
+        # memory with the Pauli column and phase tables, the damping tables or another stack
+        tables = [channels._PAULI_COLUMNS, channels._PAULI_PHASES]
         for name in ("ad_uncorrelated_kraus", "ad_correlated_kraus"):
             monkeypatch.setattr(channels, name, lambda p, table=getattr(channels, name):
                                 tables.append(table(p)) or tables[-1])
         p, mu = np.repeat(GRID, 5), np.tile(GRID, 5)
         stacks = list(channels._kraus_sets(kind, p, mu))
         assert len(stacks) == 25
-        assert len(tables) == (1 if kind in channels.PAULI_KINDS else 11)
+        assert len(tables) == (2 if kind in channels.PAULI_KINDS else 12)
         for i, stack in enumerate(stacks):
             assert type(stack) is np.ndarray and stack.flags.writeable
             for other in tables + stacks[:i]:
                 assert not np.shares_memory(stack, other)
+
+    def test_module_tables_stay_small(self):
+        # each Pauli string is kept as its 16 nonzero columns and phases, 96 KB for all
+        # 256, where the strings themselves would take 1 MB
+        arrays = {id(v): v for v in vars(channels).values() if isinstance(v, np.ndarray)}
+        assert sum(array.nbytes for array in arrays.values()) < 256 * 2 ** 10
 
     @pytest.mark.parametrize("kind", channels.KINDS)
     def test_public_constructors_return_read_only_sets(self, kind):

@@ -255,6 +255,28 @@ class TestApplyKrausLayout:
         assert np.array_equal(linalg.apply_kraus(rho, ks), first)
         assert all(a is b for a, b in zip(vars(ks)["_operands"], operands))
 
+    def test_one_copy_of_the_operators(self):
+        # a 256-operator set keeps its operators once, in the first operand's row
+        # layout that the stack views, plus the adjoint rows: 2 MiB; one application
+        # adds its 1 MiB of A_k rho products
+        tracemalloc.start()
+        try:
+            ks = channels.build_channel(channels.ChannelSpec("depolarizing", 0.3, 0.3))
+            retained = tracemalloc.get_traced_memory()[0]
+            rho = random_density(np.random.default_rng(14))
+            tracemalloc.reset_peak()
+            ks(rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ks) == 256
+        assert retained <= 2 * 2 ** 20 + 64 * 2 ** 10
+        assert peak <= 3 * 2 ** 20 + 64 * 2 ** 10
+        assert np.shares_memory(ks.stack, ks._operands[0])
+        assert not ks.stack.flags.writeable
+        with pytest.raises(ValueError):
+            ks.stack[0, 0, 0] = 1.0
+
 
 class TestValidateDensity:
     def test_valid_state(self):
@@ -350,6 +372,23 @@ class TestKrausSet:
         linalg.apply_kraus(np.eye(16, dtype=complex) / 16, ops)
         assert ops.flags.writeable
         assert np.array_equal(ops, before)
+
+    def test_caller_array_copied(self):
+        # the set keeps its own copy: the caller's array stays writable, and a later
+        # write to it changes neither the stack nor any application
+        rng = np.random.default_rng(15)
+        ops = np.stack([np.sqrt(0.3) * random_unitary(rng), np.sqrt(0.7) * random_unitary(rng)])
+        before = ops.copy()
+        rho = random_density(rng)
+        for ks in (linalg.KrausSet(ops), linalg.KrausSet(list(ops))):
+            first = ks(rho)
+            assert ops.flags.writeable and np.array_equal(ops, before)
+            assert not np.shares_memory(ks.stack, ops)
+            ops[0] *= 2.0
+            assert np.array_equal(ks.stack, before)
+            assert np.array_equal(ks(rho), first)
+            assert ks.completeness_residual <= linalg.COMPLETENESS_TOL
+            ops[...] = before
 
     def test_input_forms_agree_bitwise(self):
         rng = np.random.default_rng(8)
