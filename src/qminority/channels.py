@@ -143,7 +143,8 @@ def build_channel(spec: ChannelSpec) -> KrausSet:
 def _kraus_sets(kind: str, p, mu):
     """The (k, 16, 16) Kraus stack of ``build_channel`` at each of n (p, mu) points, in
     order, all points checked first: Pauli weights in one call, damping tables once per
-    run of p. Each stack is a new writable array that shares memory with no other."""
+    run of p. Each stack is a new writable array that shares memory with no other, and
+    the batch keeps no reference to it once resumed."""
     p, mu = np.asarray(p, dtype=float), np.asarray(mu, dtype=float)
     if kind != "amplitude_damping":
         for w in pauli_memory_weights(kind, p, mu):  # checks the kind and every point
@@ -156,6 +157,7 @@ def _kraus_sets(kind: str, p, mu):
             ops[np.arange(len(ops))[:, None], np.arange(16), _PAULI_COLUMNS[keep]] = (
                 _PAULI_PHASES[keep] * np.sqrt(w[keep]).astype(complex)[:, None])
             yield ops
+            del ops  # so a consumer that drops its stack holds the only one
         return
     _check_points(kind, p, mu)
     last = None
@@ -163,7 +165,9 @@ def _kraus_sets(kind: str, p, mu):
         if p_i != last:
             last, uncorrelated, correlated = p_i, ad_uncorrelated_kraus(p_i), ad_correlated_kraus(p_i)
         stack = np.concatenate([np.sqrt(1.0 - mu_i) * uncorrelated, np.sqrt(mu_i) * correlated])
-        yield stack[np.abs(stack).max(axis=(1, 2)) > 0.0]
+        stack = stack[np.abs(stack).max(axis=(1, 2)) > 0.0]
+        yield stack
+        del stack
 
 
 def channel_maps(kind: str, p: np.ndarray, mu: np.ndarray):

@@ -204,6 +204,7 @@ def _validate_checks(inject_broken: bool):
                 stack[0] *= np.sqrt(0.5)
                 tampered = False
             worst = max(worst, linalg.completeness_residual(stack))
+            del stack  # one dense stack alive while the batch builds the next
     checks.append(("channel completeness", worst <= linalg.COMPLETENESS_TOL,
                    f"max residual {worst:.3e}"))
 

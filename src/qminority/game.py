@@ -206,7 +206,8 @@ def evaluate(kind: str, p, mu, gamma, strategies=None) -> Evaluation:
         angles = gamma[part]
         # the noise maps broadcast one gate over a chunk with one gamma
         gate = entangler(angles[0] if np.all(angles == angles[0]) else angles)
-        _, report, payoffs = _play(_pre_move_state(gate, noise), moves, noise)
+        # the final state is dropped here, so one chunk's state is alive at a time
+        report, payoffs = _play(_pre_move_state(gate, noise), moves, noise)[1:]
         for out, value in zip(result, (payoffs, report.trace_residual, report.min_eigenvalue)):
             out[part] = value
     return result

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import sys
 
-from sweep_memory import cli_usage
+from sweep_memory import written_usage
 
 
 def peak_rss_mb(p_points: int, mu_points: int, fmt: str) -> float:
-    return cli_usage(["compare", "--channel", "dep", "--p-points", str(p_points),
-                      "--mu-points", str(mu_points), "--format", fmt])[0]
+    return written_usage(["compare", "--channel", "dep", "--p-points", str(p_points),
+                          "--mu-points", str(mu_points), "--format", fmt])[0]
 
 
 def main(argv: list[str]) -> int:

@@ -17,15 +17,15 @@ from __future__ import annotations
 
 import sys
 
-from sweep_memory import cli_usage
+from sweep_memory import written_usage
 
 SEARCHES = {"dep": ("0.3", "0.3"), "pf": ("0", "0")}
 
 
 def search_usage(channel: str) -> tuple[float, int]:
     p, mu = SEARCHES[channel]
-    return cli_usage(["best-response", "--channel", channel, "--p", p, "--mu", mu,
-                      "--gamma", "pi/2", "--grid", "9"])
+    return written_usage(["best-response", "--channel", channel, "--p", p, "--mu", mu,
+                          "--gamma", "pi/2", "--grid", "9"])
 
 
 def main(argv: list[str]) -> int:

@@ -35,22 +35,27 @@ print(code, usage.ru_maxrss, usage.ru_minflt)
 
 
 def cli_usage(argv: list[str]) -> tuple[float, int]:
-    """Peak RSS in MB and minor page faults of one CLI call, in its own interpreter,
-    written with --out."""
-    with tempfile.TemporaryDirectory() as tmp:
-        proc = subprocess.run([sys.executable, "-c", _CLI, *argv,
-                               "--out", os.path.join(tmp, "out")],
-                              capture_output=True, text=True, check=True)
-    code, kilobytes, faults = proc.stdout.split()
+    """Peak RSS in MB and minor page faults of one CLI call with exactly these
+    arguments, in its own interpreter; what the call prints goes to a pipe."""
+    proc = subprocess.run([sys.executable, "-c", _CLI, *argv],
+                          capture_output=True, text=True, check=True)
+    code, kilobytes, faults = proc.stdout.splitlines()[-1].split()
     if code != "0":
         raise RuntimeError(f"{' '.join(argv)} exited {code}: {proc.stderr}")
     return int(kilobytes) / 1024, int(faults)
 
 
+def written_usage(argv: list[str]) -> tuple[float, int]:
+    """``cli_usage`` of the call written with --out to a file in a new temporary
+    directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return cli_usage([*argv, "--out", os.path.join(tmp, "out")])
+
+
 def sweep_usage(points: int) -> tuple[float, int]:
     """Peak RSS in MB and minor faults of one sweep of ``points`` points, with --out."""
-    return cli_usage(["sweep", "--channel", "pf", "--vary", "p", "--mu", "0.3",
-                      "--gamma", "pi/2", "--points", str(points)])
+    return written_usage(["sweep", "--channel", "pf", "--vary", "p", "--mu", "0.3",
+                          "--gamma", "pi/2", "--points", str(points)])
 
 
 def main(argv: list[str]) -> int:

@@ -1,4 +1,6 @@
 import itertools
+import types
+import weakref
 
 import numpy as np
 import pytest
@@ -348,6 +350,26 @@ class TestKrausSets:
             assert type(stack) is np.ndarray and stack.flags.writeable
             for other in tables + stacks[:i]:
                 assert not np.shares_memory(stack, other)
+
+    @pytest.mark.parametrize("kind", channels.KINDS)
+    def test_batch_drops_each_stack_once_resumed(self, kind, monkeypatch):
+        # at 256 operators a stack is 1 MiB: once the consumer has dropped one, it must be
+        # gone before the batch allocates the next, or two are alive during the build.
+        # Rebinding the name to the next stack frees it only after that allocation
+        first, alive = None, []
+
+        def checked(allocate):
+            def call(*args, **kwargs):
+                alive.append(first is not None and first() is not None)
+                return allocate(*args, **kwargs)
+            return call
+        monkeypatch.setattr(channels, "np", types.SimpleNamespace(**dict(
+            vars(np), zeros=checked(np.zeros), concatenate=checked(np.concatenate))))
+        sets = channels._kraus_sets(kind, [0.3, 0.4], [0.4, 0.5])
+        first = weakref.ref(next(sets))
+        next(sets)
+        assert len(alive) > 1 and not any(alive), alive
+        assert first() is None
 
     def test_module_tables_stay_small(self):
         # each Pauli string is kept as its 16 nonzero columns and phases, 96 KB for all

@@ -10,6 +10,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -631,6 +632,18 @@ class TestValidate:
         code, _, _ = run_cli(argv, capsys)
         assert code == (1 if len(argv) > 1 else 0)
         assert len(inits) == 1
+
+    @pytest.mark.parametrize("inject_broken", [False, True])
+    def test_holds_one_dense_stack_at_a_time(self, inject_broken):
+        # a 256-operator depolarizing stack is 1 MiB; the previous one, kept by the loop's
+        # name or the batch's, beside the next lifts the peak to about 2.2 MiB
+        tracemalloc.start()
+        try:
+            cli._validate_checks(inject_broken)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2 ** 20
 
 
 class TestCompare:

@@ -706,8 +706,9 @@ class TestEvaluate:
             game.evaluate("depolarizing", [0.1, 0.2, 0.3], 0.5, np.pi / 2)
 
     def test_memory_is_bounded(self):
-        # the batch is worked in fixed chunks, so the working set does not
-        # grow with the number of points
+        # the batch is worked in fixed chunks, one alive at a time, so the working
+        # set does not grow with the number of points, and a call of four chunks
+        # holds no more than a call of one
         def peak(points):
             grid = np.linspace(0.0, 1.0, points)
             tracemalloc.start()
@@ -717,6 +718,7 @@ class TestEvaluate:
             finally:
                 tracemalloc.stop()
         assert peak(20_001) <= 1.5 * peak(1_001)
+        assert peak(1_001) <= peak(game.CHUNK_POINTS) + 0.25 * 2 ** 20
 
 
 class TestEvaluateProperties:
