@@ -105,12 +105,16 @@ def _write_output(pieces, path: str | None) -> None:
             reason = "no usable temporary directory" if exc.errno == errno.ENOENT else exc.strerror
             raise ValueError(f"cannot write stdout: {reason}") from None
         return
+    if not path:  # open('', 'w') fails so, where realpath would give the working directory
+        raise ValueError(f"cannot write {path}: {os.strerror(errno.ENOENT)}")
     target = os.path.realpath(path)  # a symlink's target is what gets rewritten
     tmp_name = None
     try:
         try:
             mode = os.stat(target).st_mode
-            if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):  # the rename would replace it
+            if stat.S_ISDIR(mode):  # refused before a temporary file is made beside it
+                raise OSError(errno.EISDIR, os.strerror(errno.EISDIR))
+            if not stat.S_ISREG(mode):  # the rename would replace it
                 raise OSError(errno.EINVAL, "not a regular file")
         except FileNotFoundError:  # a new file gets open()'s mode, 0o666 less the umask
             umask = os.umask(0)

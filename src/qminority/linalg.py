@@ -80,22 +80,25 @@ def apply_kraus(rho: np.ndarray, kraus) -> np.ndarray:
     ``kraus`` is a KrausSet, or operators that a new one copies, so a later write
     to a caller's array changes no application. Completeness (sum A+A = I) is
     checked on every call against the residual the set carries from construction.
+    Each group of states gets its A_k rho products from the set, gathered and
+    scaled or multiplied out (see ``KrausSet``), then one (d, k*d) @ (k*d, d)
+    product per state with the adjoint rows.
     """
     if not isinstance(kraus, KrausSet):
         kraus = KrausSet(kraus)
     residual = kraus.completeness_residual
     if not residual <= COMPLETENESS_TOL:  # a nan residual fails too
         raise ValueError(f"Kraus completeness violated: residual {residual:.6g}")
-    if rho.shape[-2:] != kraus.stack.shape[1:]:
-        raise ValueError(f"state shape {rho.shape} does not fit Kraus stack {kraus.stack.shape}")
-    # each group's A_k rho in one product, as (d, k*d), then one (d, k*d) @ (k*d, d) per state
-    left, adjoint_rows = kraus._operands
+    shape = kraus._adjoints.shape
+    if rho.shape[-2:] != shape[1:]:
+        raise ValueError(f"state shape {rho.shape} does not fit Kraus stack {shape}")
+    adjoint_rows = kraus._adjoints.reshape(-1, shape[-1])
     states = rho.reshape(-1, *rho.shape[-2:])
     out = np.empty(states.shape, dtype=complex)
     group = max(1, KRAUS_PRODUCTS // len(kraus))
     for start in range(0, len(states), group):
-        part = states[start:start + group]
-        out[start:start + group] = (left @ part).reshape(*part.shape[:-1], -1) @ adjoint_rows
+        # the group's products are dropped before the next group's are formed
+        out[start:start + group] = kraus._products(states[start:start + group]) @ adjoint_rows
     return out.reshape(rho.shape)
 
 
@@ -110,12 +113,16 @@ def completeness_residual(stack: np.ndarray) -> float:
 
 
 class KrausSet:
-    """Read-only (n, d, d) stack of Kraus operators with its completeness residual.
+    """Read-only set of n (d, d) Kraus operators with its completeness residual.
 
-    The operators are copied once, into the row layout of ``apply_kraus``'s first
-    product, and ``stack`` is an (n, d, d) view of that copy: the caller's array is
-    neither kept nor frozen. Iterating the set yields its rows; calling it is the
-    channel, ``ks(rho) == apply_kraus(rho, ks)``.
+    The set copies what ``apply_kraus`` reads, so the caller's array is neither kept
+    nor frozen: the (n*d, d) rows of every A_k+ for the second product, and for the
+    first a (d, n) table of the columns and values of the one nonzero entry in each
+    row of each A_k, when every entry so kept is real or imaginary (the X^c D form
+    of every ``build_channel`` operator), else the (d*n, d) rows of every A_k.
+    ``stack`` reads the operators back from the adjoints, as a new read-only
+    (n, d, d) array, and ``rows`` some of their rows. Iterating the set yields its
+    operators; calling it is the channel, ``ks(rho) == apply_kraus(rho, ks)``.
     """
 
     def __init__(self, operators):
@@ -125,20 +132,49 @@ class KrausSet:
         if operators.ndim != 3 or operators.shape[1] != operators.shape[2]:
             raise ValueError(f"Kraus set must be an (n, d, d) stack, got {operators.shape}")
         self.completeness_residual = completeness_residual(operators)
-        # apply_kraus's read-only operands: the (d*k, d) rows of every A_k, row i*k + j
-        # being row i of A_j, which the stack views, and the (k*d, d) rows of every
-        # A_k+, the adjoints conjugated straight into their row layout
-        dim = operators.shape[-1]
-        rows = operators.swapaxes(0, 1).copy()  # C order, so never the caller's array
-        adjoints = np.empty(operators.shape, dtype=complex)
-        np.conjugate(rows.transpose(1, 2, 0), out=adjoints)
-        for array in (rows, adjoints):
-            array.setflags(write=False)  # and with them every view below
-        self.stack = rows.swapaxes(0, 1)
-        self._operands = (rows.reshape(-1, dim), adjoints.reshape(-1, dim))
+        # the adjoints conjugated straight into their row layout; conjugation is exact,
+        # so the operators read back from them bit for bit
+        self._adjoints = np.empty(operators.shape, dtype=complex)
+        np.conjugate(operators.swapaxes(1, 2), out=self._adjoints)
+        # row i of A_k as (column, value) at [i, k], from one pass over the stack
+        nonzero = operators != 0
+        columns = nonzero.argmax(axis=2).T
+        values = np.take_along_axis(operators, columns.T[..., None], axis=2)[..., 0].T
+        if ((np.count_nonzero(nonzero, axis=2) <= 1).all()
+                and ((values.real == 0) | (values.imag == 0)).all()):
+            self._rows, self._columns, self._values = None, columns.ravel(), values.copy()
+        else:
+            # row i*n + k is row i of A_k, a C-order copy, so never the caller's array
+            self._rows = operators.swapaxes(0, 1).copy().reshape(-1, operators.shape[-1])
+        for array in vars(self).values():
+            if isinstance(array, np.ndarray):
+                array.setflags(write=False)
+
+    def _products(self, states: np.ndarray) -> np.ndarray:
+        """(g, d, n*d) products A_k rho for g states, row i holding row i of every one."""
+        dim = self._adjoints.shape[-1]
+        if self._rows is not None:
+            return (self._rows @ states).reshape(len(states), dim, -1)
+        # one contiguous (g, d*n, d) gather of rho's rows, scaled in place: each entry
+        # is the one product, exact as a real or imaginary value times a complex one,
+        # that the dense product sums with exact zeros
+        products = np.take(states, self._columns, axis=1)
+        scaled = products.reshape(len(states), dim, -1, dim)
+        scaled *= self._values[..., None]
+        return products.reshape(len(states), dim, -1)
+
+    def rows(self, index) -> np.ndarray:
+        """(n, r, d) copy of rows ``index`` of every operator, read from the adjoints."""
+        return np.conjugate(self._adjoints[:, :, index]).swapaxes(1, 2)
+
+    @property
+    def stack(self) -> np.ndarray:
+        stack = self.rows(slice(None))
+        stack.setflags(write=False)
+        return stack
 
     def __len__(self) -> int:
-        return len(self.stack)
+        return len(self._adjoints)
 
     def __iter__(self):
         return iter(self.stack)

@@ -1,16 +1,17 @@
 """Peak RSS and minor page faults of a 256-operator best-response search against a
 1-operator one.
 
-    PYTHONPATH=src python tests/kraus_memory.py 1130
+    PYTHONPATH=src python tests/kraus_memory.py 760
 
 runs ``best-response --gamma pi/2 --grid 9 --out ...`` on ``--channel dep --p 0.3
 --mu 0.3``, whose Kraus sets have 256 operators, and on ``--channel pf --p 0 --mu 0``,
 whose sets have 1, each in its own interpreter spawned as ``tests/sweep_memory.py``
 spawns its sweeps, prints both peaks and both fault counts, and exits 1 if the
 depolarizing search's minor faults exceed the phase-flip one's by more than the
-given number. A 256-operator set keeps its operators once, in the row layout of
-``apply_kraus``'s first product, beside their adjoint rows: 2 MiB, 512 pages. A third
-1 MiB copy of the operators faults in about 250 pages more.
+given number. A 256-operator set keeps its operators once, as the adjoint rows of
+``apply_kraus``'s second product, beside a 96 KiB table of the columns and values its
+first product gathers and scales: 1.1 MiB, about 280 pages. The dense (4096, 16) rows
+of the operators kept beside them fault in about 480 pages more.
 """
 
 from __future__ import annotations

@@ -563,6 +563,21 @@ class TestOutFile:
             2, "", f"error: cannot write {directory}: Is a directory\n")
         assert os.listdir(tmp_path) == ["d"] and os.listdir(directory) == []
 
+    @pytest.mark.parametrize("name, reason", [("d", "Is a directory"),
+                                              ("", "No such file or directory")])
+    def test_refused_before_a_temporary_file(self, name, reason, tmp_path, capsys,
+                                             monkeypatch):
+        # a directory, or the empty path, which names none: no temporary file is made
+        # in the directory's parent, which the user did not name
+        (tmp_path / "d").mkdir()
+        monkeypatch.chdir(tmp_path / "d")
+        monkeypatch.setattr(tempfile, "NamedTemporaryFile",
+                            lambda *args, **kwargs: pytest.fail("temporary file made"))
+        target = str(tmp_path / name) if name else name
+        assert run_cli(PAYOFF + ["--out", target], capsys) == (
+            2, "", f"error: cannot write {target}: {reason}\n")
+        assert os.listdir(tmp_path) == ["d"] and os.listdir(tmp_path / "d") == []
+
 
 class TestValidate:
     def test_clean_run(self, capsys):

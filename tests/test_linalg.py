@@ -232,33 +232,64 @@ class TestApplyKrausLayout:
         assert np.max(np.abs(got.reshape(-1, 16, 16) - want)) <= 1e-13
 
     @pytest.mark.parametrize("kind", channels.KINDS)
-    def test_adjoint_rows_match_the_two_copy_layout(self, kind):
-        # conjugation is exact, so writing the adjoints in one pass changes no bit of
-        # the rows the two-copy expression conj, then transpose, then reshape made
+    def test_channel_sets_take_the_gather(self, kind):
+        # a (d, k) table of columns and values, and no (d*k, d) rows of the operators
         grid = (0.0, 0.25, 0.5, 0.75, 1.0)
         for p in grid:
             for mu in grid:
                 ks = channels.build_channel(channels.ChannelSpec(kind, p, mu))
-                want = ks.stack.conj().swapaxes(-1, -2).reshape(-1, 16)
-                assert ks._operands[1].tobytes() == want.tobytes()
+                assert ks._rows is None
+                assert ks._columns.shape == (16 * len(ks),)
+                assert ks._values.shape == (16, len(ks))
+                arrays = [a for a in vars(ks).values() if isinstance(a, np.ndarray)]
+                assert all(a.shape != (16 * len(ks), 16) for a in arrays)
+                assert sum(a.nbytes for a in arrays) == len(ks) * (16 * 16 + 8 + 16) * 16
+
+    @pytest.mark.parametrize("kind", channels.KINDS)
+    def test_stack_reads_back_the_plain_stack(self, kind):
+        # conjugation is exact, so the adjoint rows, and the stack read back from them,
+        # keep every byte of the stack the batch yields, signed zeros included
+        grid = (0.0, 0.25, 0.5, 0.75, 1.0)
+        for p in grid:
+            for mu in grid:
+                plain = next(channels._kraus_sets(kind, [p], [mu]))
+                ks = channels.build_channel(channels.ChannelSpec(kind, p, mu))
+                want = plain.conj().swapaxes(-1, -2).reshape(-1, 16)
+                assert ks._adjoints.reshape(-1, 16).tobytes() == want.tobytes()
+                assert ks.stack.tobytes() == plain.tobytes()
+                assert not ks.stack.flags.writeable
+
+    def test_complex_entries_take_the_dense_rows(self):
+        # one nonzero entry per row, but neither real nor imaginary: a gather would
+        # round each entry's complex product on its own, so the set keeps its rows
+        rng = np.random.default_rng(16)
+        weights = rng.dirichlet(np.ones(3))
+        ks = linalg.KrausSet([np.sqrt(w) * np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 16)))
+                              for w in weights])
+        assert ks._rows.shape == (16 * 3, 16)
+        for shape in [(), (1,), (3,)]:
+            rho = random_densities(rng, shape)
+            got = linalg.apply_kraus(rho, ks)
+            assert got.tobytes() == two_product_reference(rho, ks.stack).tobytes()
 
     def test_operands_laid_out_at_construction(self):
         ks = channels.build_channel(channels.ChannelSpec("depolarizing", 0.3, 0.3))
-        left, adjoint_rows = operands = vars(ks)["_operands"]
-        assert left.shape == adjoint_rows.shape == (16 * len(ks), 16)
-        for array in operands:
+        operands = {name: a for name, a in vars(ks).items() if isinstance(a, np.ndarray)}
+        assert sorted(operands) == ["_adjoints", "_columns", "_values"]
+        for array in operands.values():
             assert not array.flags.writeable
             with pytest.raises(ValueError):
-                array[0, 0] = 1.0
+                array.reshape(-1)[0] = 1
         rho = random_density(np.random.default_rng(13))
         first = ks(rho)
         assert np.array_equal(linalg.apply_kraus(rho, ks), first)
-        assert all(a is b for a, b in zip(vars(ks)["_operands"], operands))
+        assert all(vars(ks)[name] is a for name, a in operands.items())
 
     def test_one_copy_of_the_operators(self):
-        # a 256-operator set keeps its operators once, in the first operand's row
-        # layout that the stack views, plus the adjoint rows: 2 MiB; one application
-        # adds its 1 MiB of A_k rho products
+        # a 256-operator set keeps its operators once, as their adjoint rows, 1 MiB,
+        # beside the 96 KiB table of the first product's columns and values; one
+        # application adds its 1 MiB of A_k rho products and numpy's 128 KiB buffer
+        # for the in-place scaling. The stack is read back from the adjoints
         tracemalloc.start()
         try:
             ks = channels.build_channel(channels.ChannelSpec("depolarizing", 0.3, 0.3))
@@ -270,9 +301,8 @@ class TestApplyKrausLayout:
         finally:
             tracemalloc.stop()
         assert len(ks) == 256
-        assert retained <= 2 * 2 ** 20 + 64 * 2 ** 10
-        assert peak <= 3 * 2 ** 20 + 64 * 2 ** 10
-        assert np.shares_memory(ks.stack, ks._operands[0])
+        assert retained <= 2 ** 20 + 100 * 2 ** 10
+        assert peak <= 2 * 2 ** 20 + 100 * 2 ** 10 + 192 * 2 ** 10
         assert not ks.stack.flags.writeable
         with pytest.raises(ValueError):
             ks.stack[0, 0, 0] = 1.0
@@ -397,6 +427,12 @@ class TestKrausSet:
         from_list = linalg.apply_kraus(rho, ops)
         assert np.array_equal(linalg.apply_kraus(rho, np.stack(ops)), from_list)
         assert np.array_equal(linalg.apply_kraus(rho, linalg.KrausSet(ops)), from_list)
+
+    def test_rows_are_rows_of_the_stack(self):
+        ks = channels.build_channel(channels.ChannelSpec("amplitude_damping", 0.3, 0.4))
+        for index in [np.arange(16) % 5 == 0, [15, 0], slice(None)]:
+            rows = ks.rows(index)
+            assert rows.tobytes() == ks.stack[:, index].tobytes()
 
     def test_call_is_apply_kraus(self):
         rng = np.random.default_rng(9)
