@@ -295,7 +295,7 @@ def _payoff_form(rho: np.ndarray, post, moves: list, player: int) -> np.ndarray:
     with Z on the mover's qubit: four probe moves fix c and b."""
     slot = list(moves)
     slot[player - 1] = _PROBE_MOVES
-    rows = post.rows(_PAYOFF_TABLE[player - 1] > 0).reshape(-1, 16)  # Y, (2k, 16)
+    rows = post._operator_rows(_PAYOFF_TABLE[player - 1] > 0).reshape(-1, 16)  # Y, (2k, 16)
     # Tr[O sigma] = sum_ij O_ji sigma_ij for each probe's state sigma, and O.T = Y.T Y*
     up, down, x, y = np.sum((rows.T @ rows.conj()) * linalg.conjugate(rho, linalg.tensor(slot)),
                             axis=(-2, -1)).real

@@ -82,7 +82,8 @@ def apply_kraus(rho: np.ndarray, kraus) -> np.ndarray:
     checked on every call against the residual the set carries from construction.
     Each group of states gets its A_k rho products from the set, gathered and
     scaled or multiplied out (see ``KrausSet``), then one (d, k*d) @ (k*d, d)
-    product per state with the adjoint rows.
+    product per state with the adjoint rows. A state of another dtype is applied
+    as its complex128 cast.
     """
     if not isinstance(kraus, KrausSet):
         kraus = KrausSet(kraus)
@@ -93,7 +94,9 @@ def apply_kraus(rho: np.ndarray, kraus) -> np.ndarray:
     if rho.shape[-2:] != shape[1:]:
         raise ValueError(f"state shape {rho.shape} does not fit Kraus stack {shape}")
     adjoint_rows = kraus._adjoints.reshape(-1, shape[-1])
-    states = rho.reshape(-1, *rho.shape[-2:])
+    # both paths read the complex128 cast, as a matmul with the operators casts it;
+    # a complex128 state is not copied
+    states = np.asarray(rho, dtype=complex).reshape(-1, *rho.shape[-2:])
     out = np.empty(states.shape, dtype=complex)
     group = max(1, KRAUS_PRODUCTS // len(kraus))
     for start in range(0, len(states), group):
@@ -121,8 +124,8 @@ class KrausSet:
     row of each A_k, when every entry so kept is real or imaginary (the X^c D form
     of every ``build_channel`` operator), else the (d*n, d) rows of every A_k.
     ``stack`` reads the operators back from the adjoints, as a new read-only
-    (n, d, d) array, and ``rows`` some of their rows. Iterating the set yields its
-    operators; calling it is the channel, ``ks(rho) == apply_kraus(rho, ks)``.
+    (n, d, d) array. Iterating the set yields its operators; calling it is the
+    channel, ``ks(rho) == apply_kraus(rho, ks)``.
     """
 
     def __init__(self, operators):
@@ -142,10 +145,10 @@ class KrausSet:
         values = np.take_along_axis(operators, columns.T[..., None], axis=2)[..., 0].T
         if ((np.count_nonzero(nonzero, axis=2) <= 1).all()
                 and ((values.real == 0) | (values.imag == 0)).all()):
-            self._rows, self._columns, self._values = None, columns.ravel(), values.copy()
+            self._dense_rows, self._columns, self._values = None, columns.ravel(), values.copy()
         else:
             # row i*n + k is row i of A_k, a C-order copy, so never the caller's array
-            self._rows = operators.swapaxes(0, 1).copy().reshape(-1, operators.shape[-1])
+            self._dense_rows = operators.swapaxes(0, 1).copy().reshape(-1, operators.shape[-1])
         for array in vars(self).values():
             if isinstance(array, np.ndarray):
                 array.setflags(write=False)
@@ -153,8 +156,8 @@ class KrausSet:
     def _products(self, states: np.ndarray) -> np.ndarray:
         """(g, d, n*d) products A_k rho for g states, row i holding row i of every one."""
         dim = self._adjoints.shape[-1]
-        if self._rows is not None:
-            return (self._rows @ states).reshape(len(states), dim, -1)
+        if self._dense_rows is not None:
+            return (self._dense_rows @ states).reshape(len(states), dim, -1)
         # one contiguous (g, d*n, d) gather of rho's rows, scaled in place: each entry
         # is the one product, exact as a real or imaginary value times a complex one,
         # that the dense product sums with exact zeros
@@ -163,13 +166,13 @@ class KrausSet:
         scaled *= self._values[..., None]
         return products.reshape(len(states), dim, -1)
 
-    def rows(self, index) -> np.ndarray:
+    def _operator_rows(self, index) -> np.ndarray:
         """(n, r, d) copy of rows ``index`` of every operator, read from the adjoints."""
         return np.conjugate(self._adjoints[:, :, index]).swapaxes(1, 2)
 
     @property
     def stack(self) -> np.ndarray:
-        stack = self.rows(slice(None))
+        stack = self._operator_rows(slice(None))
         stack.setflags(write=False)
         return stack
 

@@ -238,7 +238,7 @@ class TestApplyKrausLayout:
         for p in grid:
             for mu in grid:
                 ks = channels.build_channel(channels.ChannelSpec(kind, p, mu))
-                assert ks._rows is None
+                assert ks._dense_rows is None
                 assert ks._columns.shape == (16 * len(ks),)
                 assert ks._values.shape == (16, len(ks))
                 arrays = [a for a in vars(ks).values() if isinstance(a, np.ndarray)]
@@ -266,11 +266,32 @@ class TestApplyKrausLayout:
         weights = rng.dirichlet(np.ones(3))
         ks = linalg.KrausSet([np.sqrt(w) * np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 16)))
                               for w in weights])
-        assert ks._rows.shape == (16 * 3, 16)
+        assert ks._dense_rows.shape == (16 * 3, 16)
         for shape in [(), (1,), (3,)]:
             rho = random_densities(rng, shape)
             got = linalg.apply_kraus(rho, ks)
             assert got.tobytes() == two_product_reference(rho, ks.stack).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex64, np.int64])
+    def test_other_state_dtypes_are_cast_to_complex(self, dtype):
+        # both paths apply the set to the complex128 cast of the state, as a
+        # product with the dense rows always did
+        rng = np.random.default_rng(17)
+        gather = channels.build_channel(channels.ChannelSpec("depolarizing", 0.3, 0.3))
+        dense = linalg.KrausSet([np.sqrt(w) * random_unitary(rng) for w in (0.2, 0.8)])
+        assert gather._dense_rows is None and dense._dense_rows is not None
+        part = (lambda a: a) if np.issubdtype(dtype, np.complexfloating) else np.real
+        states = [np.eye(16, dtype=dtype),
+                  np.stack([part(16 * random_density(rng)).astype(dtype) for _ in range(3)])]
+        for ks in (gather, dense):
+            for rho in states:
+                got = linalg.apply_kraus(rho, ks)
+                want = two_product_reference(rho.astype(complex), ks.stack)
+                assert got.dtype == complex and got.shape == rho.shape
+                if ks is gather:
+                    assert got.tobytes() == want.tobytes()
+                else:
+                    assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_operands_laid_out_at_construction(self):
         ks = channels.build_channel(channels.ChannelSpec("depolarizing", 0.3, 0.3))
@@ -428,10 +449,10 @@ class TestKrausSet:
         assert np.array_equal(linalg.apply_kraus(rho, np.stack(ops)), from_list)
         assert np.array_equal(linalg.apply_kraus(rho, linalg.KrausSet(ops)), from_list)
 
-    def test_rows_are_rows_of_the_stack(self):
+    def test_operator_rows_are_rows_of_the_stack(self):
         ks = channels.build_channel(channels.ChannelSpec("amplitude_damping", 0.3, 0.4))
         for index in [np.arange(16) % 5 == 0, [15, 0], slice(None)]:
-            rows = ks.rows(index)
+            rows = ks._operator_rows(index)
             assert rows.tobytes() == ks.stack[:, index].tobytes()
 
     def test_call_is_apply_kraus(self):
