@@ -158,7 +158,7 @@ def _compare(kind: str, grid: tuple[int, int], gamma: float) -> DiscrepancyRepor
         cells = np.arange(start, min(start + game.CHUNK_POINTS, p_points * mu_points))
         p, mu = p_axis[cells // mu_points], mu_axis[cells % mu_points]  # p-major, then mu
         expected = _FORMS[kind](p, mu, gamma)
-        simulated = game.evaluate(kind, p, mu, gamma).payoffs[:, 0]
+        simulated = game.evaluate(kind, p, mu, gamma, spectrum=False).payoffs[:, 0]
         points.append(np.stack((p, mu, expected, simulated, np.abs(expected - simulated)), -1))
     max_difference = float(np.max([part[:, 4].max() for part in points]))
     verdict = "consistent" if max_difference < tolerance else "inconsistent"
@@ -205,7 +205,7 @@ def overlap_check(gamma: float, p_points: int) -> OverlapReport:
     if p_points < 2:
         raise ValueError(f"need at least 2 points, got {p_points}")
     grid = np.linspace(0.0, 1.0, p_points)
-    tables = {kind: game.evaluate(kind, grid, 1.0, gamma).payoffs
+    tables = {kind: game.evaluate(kind, grid, 1.0, gamma, spectrum=False).payoffs
               for kind in ("depolarizing", "bit_phase_flip")}
     residual = 0.0
     for kind, table in tables.items():

@@ -36,7 +36,8 @@ class CurvePoint(NamedTuple):
 
 
 class Evaluation(NamedTuple):
-    """Batch result of ``evaluate``: one row or entry per operating point."""
+    """Batch result of ``evaluate``: one row or entry per operating point. Where it
+    certified positivity, ``min_eigenvalue`` holds the bound EIGENVALUE_FLOOR/2."""
 
     payoffs: np.ndarray         # (n, 4)
     trace_residual: np.ndarray  # (n,) of the final state
@@ -137,16 +138,16 @@ def _pre_move_state(gate: np.ndarray, noise) -> np.ndarray:
     return noise(column[..., :, None] * column[..., None, :].conj())
 
 
-def _play(rho: np.ndarray, moves: list, noise, gate: np.ndarray = None):
+def _play(rho: np.ndarray, moves: list, noise, gate: np.ndarray = None, spectrum=False):
     """The four moves (each 2x2, or (n, 2, 2) for n states), the second noise map and,
-    when ``gate`` is given, J+: returns the final state, its ValidationReport and the
-    (..., 4) payoffs. evaluate passes no gate and scores the state before J+, which
-    moves them by rounding alone: J keeps every payoff projector, a unitary the trace,
-    hermiticity and spectrum."""
+    when ``gate`` is given, J+: returns the final state, its ValidationReport (certified,
+    or solved with ``spectrum``) and the (..., 4) payoffs. evaluate passes no gate and
+    scores the state before J+, which moves them by rounding alone: J keeps every
+    payoff projector, a unitary the trace, hermiticity and spectrum."""
     rho = noise(linalg.conjugate(rho, linalg.tensor(moves)))
     if gate is not None:
         rho = linalg.conjugate(rho, gate.conj().swapaxes(-1, -2))
-    report = linalg.validate_densities(rho)
+    report = linalg.validate_densities(rho, spectrum)
     failed = np.flatnonzero(np.logical_not(report.ok))
     if len(failed):
         first = linalg.ValidationReport(*(float(np.ravel(value)[failed[0]])
@@ -181,7 +182,7 @@ def run_game(config: GameConfig) -> GameResult:
 CHUNK_POINTS = 256
 
 
-def evaluate(kind: str, p, mu, gamma, strategies=None) -> Evaluation:
+def evaluate(kind: str, p, mu, gamma, strategies=None, *, spectrum=True) -> Evaluation:
     """Run the protocol at n operating points at once and score all players.
 
     ``p``, ``mu`` and ``gamma`` are equal-length 1-D arrays (scalars
@@ -193,6 +194,9 @@ def evaluate(kind: str, p, mu, gamma, strategies=None) -> Evaluation:
     state, so it scores and checks the state before the closing J+: every
     payoff projector commutes with J, and a unitary keeps the trace and the
     spectrum, so the results differ from run_game's by rounding alone.
+    ``min_eigenvalue`` is each final state's smallest eigenvalue; callers that read
+    payoffs alone pass ``spectrum=False``, which certifies positivity instead, with
+    the same verdicts, and returns the certified bound there (``Evaluation``).
     """
     p, mu, gamma = np.broadcast_arrays(*(np.asarray(x, dtype=float)
                                          for x in (p, mu, gamma)))
@@ -207,7 +211,7 @@ def evaluate(kind: str, p, mu, gamma, strategies=None) -> Evaluation:
         # the noise maps broadcast one gate over a chunk with one gamma
         gate = entangler(angles[0] if np.all(angles == angles[0]) else angles)
         # the final state is dropped here, so one chunk's state is alive at a time
-        report, payoffs = _play(_pre_move_state(gate, noise), moves, noise)[1:]
+        report, payoffs = _play(_pre_move_state(gate, noise), moves, noise, None, spectrum)[1:]
         for out, value in zip(result, (payoffs, report.trace_residual, report.min_eigenvalue)):
             out[part] = value
     return result
@@ -239,7 +243,7 @@ def _sweep(kind: str, vary: str, fixed: dict, points: int):
         if stop == points:
             axis[-1] = high
         axes = dict(fixed, **{vary: axis})
-        yield axis, evaluate(kind, axes["p"], axes["mu"], axes["gamma"]).payoffs
+        yield axis, evaluate(kind, axes["p"], axes["mu"], axes["gamma"], spectrum=False).payoffs
 
 
 def payoff_curve(kind: str, vary: str, fixed: dict, points: int = 101) -> list:

@@ -144,6 +144,26 @@ def random_density(rng: np.random.Generator, dim: int = 16) -> np.ndarray:
     return h / np.trace(h)
 
 
+def eigen_residuals(rho: np.ndarray) -> tuple:
+    """Hermiticity residual, trace residual and smallest eigenvalue of every state in
+    a (..., d, d) stack, the eigen-solve of the symmetrized states giving the last."""
+    adjoint = rho.conj().swapaxes(-1, -2)
+    return (np.max(np.abs(rho - adjoint), axis=(-2, -1)),
+            np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0),
+            np.linalg.eigvalsh((rho + adjoint) / 2.0)[..., 0])
+
+
+def counted_eigen_solves(monkeypatch) -> list:
+    """Patch np.linalg.eigvalsh to record the number of states of each call."""
+    counts, eigvalsh = [], np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        counts.append(int(np.prod(np.shape(a)[:-2])))
+        return eigvalsh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return counts
+
+
 def bloch_of_z(u: np.ndarray) -> np.ndarray:
     """The Bloch vector m of u+Zu, for one 2x2 move or an (n, 2, 2) stack."""
     zu = u.conj().swapaxes(-1, -2) @ Z @ u

@@ -19,7 +19,7 @@ import pytest
 import qminority
 from qminority import channels, cli, formulas, game, linalg
 import make_digests
-from reference import FIGURE_SWEEPS, recorded, workloads
+from reference import FIGURE_SWEEPS, counted_eigen_solves, recorded, workloads
 RECORDED_BEST_RESPONSES = recorded("best-response-ad", "best-response-dep")
 # the sweep, compare and validate calls, whose numbers all come from game.evaluate
 RECORDED_EVALUATIONS = recorded("figure-sweeps", "validate-compare")
@@ -29,7 +29,7 @@ class Reached(Exception):
     """Raised by a stub that stands in for the first step that allocates."""
 
 
-def reached(*args):
+def reached(*args, **kwargs):
     raise Reached
 
 
@@ -98,6 +98,29 @@ class TestAngleParsing:
         err = capsys.readouterr().err
         assert "bad angle 'pi/0'" in err
         assert "Traceback" not in err
+
+
+class TestEigenSolves:
+    """Only the spectrum that is read is solved: validate's positivity line reads
+    its 3x3 grid per kind, and every other final state is certified."""
+
+    @pytest.mark.parametrize("argv", workloads.plan("figure-sweeps", 0)
+                             + workloads.plan("validate-compare", 0)[1:]
+                             + workloads.plan("best-response-ad", 0)
+                             + workloads.plan("best-response-dep", 0)
+                             + [["payoff", "--channel", "ad", "--p", "0.2", "--mu", "0.5",
+                                 "--gamma", "pi/2"]], ids=" ".join)
+    def test_payoff_commands_solve_nothing(self, argv, capsys, monkeypatch):
+        solved = counted_eigen_solves(monkeypatch)
+        assert run_cli(argv, capsys)[0] == 0
+        assert solved == []
+
+    def test_validate_solves_its_grid(self, capsys, monkeypatch):
+        solved = counted_eigen_solves(monkeypatch)
+        code, out, _ = run_cli(["validate"], capsys)
+        assert code == 0
+        assert sum(solved) == len(channels.KINDS) * 3 * 3
+        assert "final-state positivity: PASS (min eigenvalue -1.488e-16)" in out
 
 
 class TestSweep:
@@ -201,7 +224,7 @@ class TestSweep:
         assert err.splitlines() == [message]
 
     def test_failed_state_validation_exits_1(self, capsys, monkeypatch):
-        def broken(rho):
+        def broken(rho, spectrum=True):
             ones = np.ones(len(rho))
             return linalg.ValidationReport(ones, 0 * ones, 0 * ones)
         monkeypatch.setattr(linalg, "validate_densities", broken)
@@ -275,9 +298,9 @@ class TestStreamedSweep:
                                                     monkeypatch):
         calls, validate = [], linalg.validate_densities
 
-        def second_slice_fails(rho):
+        def second_slice_fails(rho, spectrum=True):
             calls.append(len(rho))
-            report = validate(rho)
+            report = validate(rho, spectrum)
             if len(calls) == 2:
                 ones = np.ones(len(rho))
                 return linalg.ValidationReport(ones, 0 * ones, 0 * ones)
@@ -937,7 +960,7 @@ class TestPayoff:
     def test_failed_state_validation_exits_1(self, capsys, monkeypatch):
         broken = linalg.ValidationReport(hermiticity_residual=1.0,
                                          trace_residual=0.0, min_eigenvalue=0.0)
-        monkeypatch.setattr(linalg, "validate_densities", lambda rho: broken)
+        monkeypatch.setattr(linalg, "validate_densities", lambda rho, spectrum=True: broken)
         code, out, err = run_cli(["payoff", "--channel", "bf", "--p", "0.2",
                                   "--mu", "0.5", "--gamma", "pi/2"], capsys)
         assert code == 1

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from qminority import channels, game, linalg
+from qminority import channels, formulas, game, linalg
 
 
 def noiseless(kind="phase_flip"):
@@ -694,7 +694,7 @@ class TestEvaluate:
                           ((4.0, 0.0, 0.0),) + (game.ne_strategy(),) * 3)
 
     def test_failed_state_validation_raises(self, monkeypatch):
-        def broken(rho):
+        def broken(rho, spectrum=True):
             report = linalg.ValidationReport(np.zeros(len(rho)), np.zeros(len(rho)),
                                              np.zeros(len(rho)))
             report.trace_residual[1] = 1.0
@@ -719,6 +719,56 @@ class TestEvaluate:
                 tracemalloc.stop()
         assert peak(20_001) <= 1.5 * peak(1_001)
         assert peak(1_001) <= peak(game.CHUNK_POINTS) + 0.25 * 2 ** 20
+
+    def test_certificate_holds_no_more_memory(self):
+        # the certificate shifts the symmetrized stack in place, with the adjoint
+        # dropped, so its factor takes no more room than the eigen-solve's arrays
+        grid = np.linspace(0.0, 1.0, game.CHUNK_POINTS)
+
+        def peak(spectrum):
+            tracemalloc.start()
+            try:
+                game.evaluate("depolarizing", grid, 0.3, np.pi / 2, spectrum=spectrum)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        peak(False)  # warm: one-time set-up is counted against neither side
+        assert peak(False) <= peak(True)
+
+    def test_default_solves_every_spectrum(self, monkeypatch):
+        # three figure sweeps, 303 points over two chunks: every point is solved, and
+        # the three fields are those of the eigen-solve alone, byte for byte
+        p, mu, gamma = (np.concatenate(axis) for axis in zip(
+            *(reference.sweep_axes(vary, fixed) for vary, fixed in reference.FIGURE_SWEEPS[:3])))
+        solved = reference.counted_eigen_solves(monkeypatch)
+        result = game.evaluate("amplitude_damping", p, mu, gamma)
+        assert sum(solved) == len(p) > game.CHUNK_POINTS
+        monkeypatch.setattr(linalg, "validate_densities", lambda rho, spectrum=True:
+                            linalg.ValidationReport(*reference.eigen_residuals(rho)))
+        expected = game.evaluate("amplitude_damping", p, mu, gamma)
+        assert [field.tobytes() for field in result] == [field.tobytes() for field in expected]
+
+    def test_certified_verdicts_on_every_figure_and_compare_state(self, monkeypatch):
+        # every final state of the 35 figure sweeps and the five compare grids gets
+        # the eigen-solve's verdict from the certificate, and every one is certified
+        validate, verdicts = linalg.validate_densities, []
+
+        def both(rho, spectrum=True):
+            certified = validate(rho, spectrum=False)
+            eigen = linalg.ValidationReport(*reference.eigen_residuals(rho))
+            verdicts.append((len(rho), certified.ok.tolist() == eigen.ok.tolist(),
+                             bool(np.all(certified.min_eigenvalue
+                                         == linalg.EIGENVALUE_FLOOR / 2))))
+            return validate(rho, spectrum)
+        monkeypatch.setattr(linalg, "validate_densities", both)
+        for kind in channels.KINDS:
+            for vary, fixed in reference.FIGURE_SWEEPS:
+                values = {axis: np.pi / 2 if value == "pi/2" else float(value)
+                          for axis, value in fixed.items()}
+                assert len(game.payoff_curve(kind, vary, values)) == 101
+            formulas._compare(kind, (11, 5), np.pi / 2)
+        assert sum(n for n, _, _ in verdicts) == 35 * 101 + 5 * 11 * 5
+        assert all(same and certified for _, same, certified in verdicts)
 
 
 class TestEvaluateProperties:

@@ -1,7 +1,10 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qminority
 import reference
@@ -361,6 +364,106 @@ class TestValidateDensity:
         report = linalg.validate_density(reference.basis_state(0))
         assert report.ok
         assert report.min_eigenvalue >= 0.0
+
+
+def state_with_spectrum(seed, smallest):
+    """Q diag(smallest, w, ..., w) Q+ for a random unitary Q, with unit trace."""
+    weights = np.full(16, (1.0 - smallest) / 15)
+    weights[0] = smallest
+    q = random_unitary(np.random.default_rng(seed))
+    return (q * weights) @ q.conj().T
+
+
+def eigen_report(rho):
+    """The report of the eigen-solve alone: the reference the certificate must agree with."""
+    return linalg.ValidationReport(*reference.eigen_residuals(rho))
+
+
+def report_bytes(report):
+    return [np.asarray(value).tobytes() for value in vars(report).values()]
+
+
+CERTIFIED = linalg.EIGENVALUE_FLOOR / 2
+
+
+class TestPositivityCertificate:
+    # the certificate factors rho + s I, s = -EIGENVALUE_FLOOR / 2 = 5e-11: it holds
+    # above lambda_min = -s, up to Cholesky's backward error (about 3e-14 here)
+    @pytest.mark.parametrize("smallest, certified, ok", [
+        (-4.9e-11, True, True),
+        (-4.99e-11, True, True),
+        (-5.01e-11, False, True),
+        (-9.9e-11, False, True),
+        (-1.01e-10, False, False),
+    ])
+    def test_floor_neighbourhood(self, smallest, certified, ok):
+        rho = np.stack([state_with_spectrum(seed, smallest) for seed in range(8)])
+        report = linalg.validate_densities(rho, spectrum=False)
+        expected = linalg.validate_densities(rho)
+        if certified:
+            expected = dataclasses.replace(expected, min_eigenvalue=np.full(8, CERTIFIED))
+        assert report_bytes(report) == report_bytes(expected)
+        assert np.all(report.ok == ok)
+
+    def test_shift_cancelling_the_spectrum_passes_either_way(self):
+        # at lambda_min = -s the shifted matrix is singular up to rounding, so the
+        # factorisation may go either way; both verdicts pass
+        for seed in range(8):
+            rho = state_with_spectrum(seed, -5e-11)
+            report = linalg.validate_densities(rho, spectrum=False)
+            assert report.ok
+            assert report.min_eigenvalue in (CERTIFIED, linalg.validate_densities(rho)
+                                             .min_eigenvalue)
+
+    @pytest.mark.parametrize("flaw", ["negative", "hermiticity", "trace"])
+    def test_one_bad_state_falls_back_for_the_stack(self, flaw):
+        rho = np.stack([state_with_spectrum(seed, 0.01) for seed in range(5)])
+        if flaw == "negative":
+            rho[3] = state_with_spectrum(9, -2e-10)
+        elif flaw == "hermiticity":
+            rho[3, 0, 1] += 1e-9
+        else:
+            rho[3] *= 1 + 1e-9
+        report = linalg.validate_densities(rho, spectrum=False)
+        assert report_bytes(report) == report_bytes(linalg.validate_densities(rho))
+        assert report.ok.tolist() == [True, True, True, False, True]
+
+    @pytest.mark.parametrize("entry", [(3, 3), (3, 5)], ids=["diagonal", "off-diagonal"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entry_fails(self, value, entry):
+        rho = np.stack([state_with_spectrum(seed, 0.01) for seed in range(3)])
+        rho[1][entry] = value
+        for spectrum in (False, True):
+            with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+                linalg.validate_densities(rho, spectrum=spectrum)
+
+    def test_nonfinite_factor_is_no_certificate(self, monkeypatch):
+        # numpy's batched cholesky can return nan rows for a nan input without raising
+        rho = np.stack([state_with_spectrum(seed, 0.01) for seed in range(3)])
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: np.full(a.shape, np.nan))
+        report = linalg.validate_densities(rho, spectrum=False)
+        assert report_bytes(report) == report_bytes(eigen_report(rho))
+
+    def test_single_state(self):
+        report = linalg.validate_densities(state_with_spectrum(0, 0.01), spectrum=False)
+        assert report.ok
+        assert report.min_eigenvalue.shape == () and report.min_eigenvalue == CERTIFIED
+
+    def test_spectrum_is_the_eigen_solve(self):
+        rho = np.stack([state_with_spectrum(seed, smallest) for seed, smallest
+                        in enumerate((0.01, 0.0, -4e-11, -2e-10))])
+        assert report_bytes(linalg.validate_densities(rho)) == report_bytes(eigen_report(rho))
+
+    @settings(max_examples=200, deadline=None)
+    @given(stack=st.lists(st.tuples(st.integers(0, 2 ** 32 - 1),
+                                    st.floats(-2e-10, 2e-11)), min_size=1, max_size=4))
+    def test_certified_verdicts_are_the_eigen_solve_verdicts(self, stack):
+        rho = np.stack([state_with_spectrum(seed, smallest) for seed, smallest in stack])
+        certified, eigen = linalg.validate_densities(rho, spectrum=False), eigen_report(rho)
+        assert certified.ok.tolist() == eigen.ok.tolist()
+        # the whole stack is certified, or the whole stack gets the eigen-solve's report
+        assert (np.all(certified.min_eigenvalue == CERTIFIED)
+                or report_bytes(certified) == report_bytes(eigen))
 
 
 class TestTensorStacks:
