@@ -87,9 +87,9 @@ def ne_strategy() -> StrategyTriple:
 
 def minority_payoff(outcome: int, player: int) -> float:
     """1.0 if ``player`` is the sole minority in basis state ``outcome``."""
-    if not 0 <= outcome <= 15:
+    if not isinstance(outcome, (int, np.integer)) or not 0 <= outcome <= 15:
         raise ValueError(f"outcome must be a 4-bit index, got {outcome}")
-    if player not in (1, 2, 3, 4):
+    if not isinstance(player, (int, np.integer)) or player not in (1, 2, 3, 4):
         raise ValueError(f"player must be 1..4, got {player}")
     ones = bin(outcome).count("1")
     own = (outcome >> (4 - player)) & 1

@@ -40,7 +40,7 @@ for _m in _PAULI:
 
 def pauli(index: int) -> np.ndarray:
     """Single-qubit Pauli matrix: 0 = I, 1 = X, 2 = Y, 3 = Z."""
-    if index not in (0, 1, 2, 3):
+    if not isinstance(index, (int, np.integer)) or index not in (0, 1, 2, 3):
         raise ValueError(f"Pauli index must be 0..3, got {index}")
     return _PAULI[index]
 
@@ -210,14 +210,17 @@ def validate_densities(rho: np.ndarray, spectrum: bool = True) -> ValidationRepo
     the hermiticity and trace checks and the symmetrized stack plus s I, s =
     -EIGENVALUE_FLOOR/2, has a finite Cholesky factor, each smallest eigenvalue is above
     -s up to rounding (about d^2 eps), and ``min_eigenvalue`` holds that bound. Else
-    the report is the eigen-solve's, so the verdicts never differ.
+    the report is the eigen-solve's, so the verdicts never differ. A state with a nan
+    or inf entry has a nan or inf hermiticity residual; it is not solved, and its
+    ``min_eigenvalue`` is nan, so it fails.
     """
     adjoint = _dagger(rho)
-    herm = np.max(np.abs(rho - adjoint), axis=(-2, -1))
-    trace = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
-    # eigvalsh wants an exactly hermitian input; symmetrize first so the
-    # reported spectrum is meaningful even when hermiticity already failed
-    sym = (rho + adjoint) / 2.0
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite state
+        herm = np.max(np.abs(rho - adjoint), axis=(-2, -1))
+        trace = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+        # eigvalsh wants an exactly hermitian input; symmetrize first so the
+        # reported spectrum is meaningful even when hermiticity already failed
+        sym = (rho + adjoint) / 2.0
     del adjoint  # the certificate holds no more arrays than the eigen-solve
     if not spectrum and np.all((herm <= HERMITICITY_TOL) & (trace <= TRACE_TOL)):
         sym.reshape(*sym.shape[:-2], -1)[..., ::sym.shape[-1] + 1] -= EIGENVALUE_FLOOR / 2
@@ -227,7 +230,10 @@ def validate_densities(rho: np.ndarray, spectrum: bool = True) -> ValidationRepo
         except np.linalg.LinAlgError:
             pass
         sym = (rho + _dagger(rho)) / 2.0
-    return ValidationReport(herm, trace, np.linalg.eigvalsh(sym)[..., 0])
+    finite = np.isfinite(herm)
+    sym[np.logical_not(finite)] = 0.0  # eigvalsh does not converge on nan or inf
+    return ValidationReport(herm, trace,
+                            np.where(finite, np.linalg.eigvalsh(sym)[..., 0], np.nan))
 
 
 def validate_density(rho: np.ndarray) -> ValidationReport:

@@ -11,7 +11,6 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,10 +18,13 @@ import pytest
 import qminority
 from qminority import channels, cli, formulas, game, linalg
 import make_digests
+import memory_gates
 from reference import FIGURE_SWEEPS, counted_eigen_solves, recorded, workloads
 RECORDED_BEST_RESPONSES = recorded("best-response-ad", "best-response-dep")
 # the sweep, compare and validate calls, whose numbers all come from game.evaluate
 RECORDED_EVALUATIONS = recorded("figure-sweeps", "validate-compare")
+GLIBC = platform.libc_ver()[0] == "glibc"
+GATES_SKIP = "the memory gates read /proc and are calibrated under glibc's heap policy"
 
 
 class Reached(Exception):
@@ -314,15 +316,10 @@ class TestStreamedSweep:
         assert err.startswith("error: final state failed validation")
         assert list(tmp_path.iterdir()) == []
 
-    def test_peak_rss_is_flat(self):
+    @pytest.mark.skipif(not GLIBC, reason=GATES_SKIP)
+    def test_peak_rss_is_flat(self, capsys):
         # 20,001 points streamed in 79 slices peak within 3 MB of 1,001 points
-        script = Path(__file__).resolve().parent / "sweep_memory.py"
-        src = os.path.dirname(os.path.dirname(qminority.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, str(script), "20001", "3"],
-                              capture_output=True, text=True, timeout=300,
-                              env=dict(os.environ, PYTHONPATH=path))
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert memory_gates.main(["sweep", "20001", "3"]) == 0, capsys.readouterr().out
 
 
 class TestGrammar:
@@ -379,7 +376,13 @@ import qminority, qminority.cli
 print(calls)
 print(qminority.cli.main(sys.argv[1:]), calls)
 """
-GLIBC = platform.libc_ver()[0] == "glibc"
+
+
+@pytest.mark.skipif(not GLIBC, reason=GATES_SKIP)
+@pytest.mark.parametrize("gate, bound", [("kraus", "760"), ("validate", "450")])
+def test_memory_gate(gate, bound, capsys):
+    # two of CI's memory gates at their CI bounds, each call in its own child
+    assert memory_gates.main([gate, bound]) == 0, capsys.readouterr().out
 
 
 class TestHeapPolicy:

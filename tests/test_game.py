@@ -160,6 +160,17 @@ class TestMinorityPayoff:
         with pytest.raises(ValueError):
             game.minority_payoff(0, 5)
 
+    @pytest.mark.parametrize("outcome, player, name", [
+        (3.0, 1, "outcome"), (np.float64(3.0), 1, "outcome"), ("3", 1, "outcome"),
+        (3, 1.0, "player"), (3, 2.5, "player"), (np.int64(3), "1", "player"),
+    ])
+    def test_non_integer_argument(self, outcome, player, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            game.minority_payoff(outcome, player)
+
+    def test_numpy_integers_accepted(self):
+        assert game.minority_payoff(np.int64(0b0111), np.int32(1)) == 1.0
+
 
 class TestGameConfig:
     def test_defaults_to_ne_profile(self):
@@ -704,6 +715,15 @@ class TestEvaluate:
                            match=r"^final state failed validation: ValidationReport\("
                                  r"hermiticity_residual=0.0, trace_residual=1.0"):
             game.evaluate("depolarizing", [0.1, 0.2, 0.3], 0.5, np.pi / 2)
+
+    @pytest.mark.parametrize("spectrum", [False, True])
+    def test_nan_final_state_raises(self, spectrum):
+        # a failed run, not a usage error: the CLI maps RuntimeError to exit 1
+        rho = np.stack([np.eye(16, dtype=complex) / 16] * 3)
+        rho[1, 2, 2] = np.nan
+        with pytest.raises(RuntimeError, match=r"^final state failed validation: "
+                                               r"ValidationReport\(hermiticity_residual=nan"):
+            game._play(rho, [np.eye(2)] * 4, lambda state: state, spectrum=spectrum)
 
     def test_memory_is_bounded(self):
         # the batch is worked in fixed chunks, one alive at a time, so the working

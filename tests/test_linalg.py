@@ -35,6 +35,11 @@ class TestPauli:
         with pytest.raises(ValueError):
             linalg.pauli(i)
 
+    @pytest.mark.parametrize("i", [1.0, 1.5, "1", None, np.float64(2.0)])
+    def test_non_integer_index(self, i):
+        with pytest.raises(ValueError, match="Pauli index must be 0..3"):
+            linalg.pauli(i)
+
 
 class TestTensor:
     def test_two_factor(self):
@@ -431,11 +436,17 @@ class TestPositivityCertificate:
     @pytest.mark.parametrize("entry", [(3, 3), (3, 5)], ids=["diagonal", "off-diagonal"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_nonfinite_entry_fails(self, value, entry):
+        # the state is not solved and fails on nan; the finite states keep their solve
         rho = np.stack([state_with_spectrum(seed, 0.01) for seed in range(3)])
         rho[1][entry] = value
+        finite = reference.eigen_residuals(rho[[0, 2]])
         for spectrum in (False, True):
-            with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
-                linalg.validate_densities(rho, spectrum=spectrum)
+            report = linalg.validate_densities(rho, spectrum=spectrum)
+            assert report.ok.tolist() == [True, False, True]
+            assert np.isnan(report.min_eigenvalue[1])
+            assert not np.isfinite(report.hermiticity_residual[1])
+            for field, solved in zip(vars(report).values(), finite):
+                assert field[[0, 2]].tobytes() == solved.tobytes()
 
     def test_nonfinite_factor_is_no_certificate(self, monkeypatch):
         # numpy's batched cholesky can return nan rows for a nan input without raising
