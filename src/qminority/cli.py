@@ -136,7 +136,7 @@ def _write_output(pieces, path: str | None) -> None:
 
 
 # Table output per format: the text before the rows, one row (str.format fields, and
-# %-fields for compare's columns), the separator between rows, the text after the rows
+# %s-fields for compare's columns), the separator between rows, the text after the rows
 # and the %-format of a number. The JSON is json.dumps(rows or report, indent=2) + "\n".
 _SWEEP_FORMATS = {
     "csv": (CSV_HEADER + "\n", "{channel},{p},{mu},{gamma},{player},{payoff}",
@@ -146,22 +146,38 @@ _SWEEP_FORMATS = {
              ",\n", "\n]\n", "%r"),
 }
 _COMPARE_FORMATS = {
-    "csv": (COMPARE_HEADER + "\n", "{channel},%.17g,%.17g,{gamma},%.17g,%.17g,%.17g",
-            "\n", "\n", "%.17g"),
+    "csv": (COMPARE_HEADER + "\n", "{channel},%s,%s,{gamma},%s,%s,%s", "\n", "\n", "%.17g"),
     "json": ('{{\n  "channel": "{channel}",\n  "gamma": {gamma},\n  "tolerance": {tolerance},\n'
              '  "verdict": "{verdict}",\n  "max_difference": {max_difference},\n  "points": [\n',
-             '    {{\n      "p": %r,\n      "mu": %r,\n      "formula": %r,\n'
-             '      "simulated": %r,\n      "difference": %r\n    }}', ",\n", "\n  ]\n}\n", "%r"),
+             '    {{\n      "p": %s,\n      "mu": %s,\n      "formula": %s,\n'
+             '      "simulated": %s,\n      "difference": %s\n    }}', ",\n", "\n  ]\n}\n", "%r"),
 }
 
 
-def _table_text(head: str, point: str, sep: str, tail: str, slices):
-    """``head``, each slice's values through the %-template ``point`` once a row, ``tail``.
+def _table_text(head: str, point: str, sep: str, tail: str, number: str, slices):
+    """``head``, each slice's float values in the %s-fields of ``point`` once a row,
+    ``tail``. Each distinct bit pattern of a slice is formatted by ``number`` once, so
+    0.0 and -0.0 stay apart.
 
     ``point`` puts ``sep`` before each of its rows; the first gives way to ``head``. The
     first slice is formatted here, so bad arguments fail before any output is opened.
     """
-    texts = ((point * len(values)) % tuple(values.ravel().tolist()) for values in slices)
+    literals = point.split("%s")
+    # the text between the fields of a row, and from its last field to the next row's first
+    between = literals[1:-1] + [literals[-1] + literals[0]]
+
+    def text(values):
+        bits, index = np.unique(values.ravel().view(np.int64), return_inverse=True)
+        cells = np.array([number % value for value in bits.view(float).tolist()], dtype=object)
+        # one join allocates the text once: %-formatting these strings into the template
+        # left the heap 5.9 MB larger after a 1,000,001-point sweep
+        pieces = [literals[0]] * (2 * index.size + 1)
+        pieces[1::2] = cells[index].tolist()
+        pieces[2::2] = between * len(values)
+        pieces[-1] = literals[-1]
+        return "".join(pieces)
+
+    texts = map(text, slices)
     first = next(texts)
     return itertools.chain((head, first[len(sep):]), texts, (tail,))
 
@@ -170,12 +186,12 @@ def _sweep_text(kind: str, vary: str, fixed: dict, points: int, fmt: str):
     """The sweep's text: the fixed values formatted once, the varied one once a point."""
     head, row, sep, tail, number = _SWEEP_FORMATS[fmt]
     cells = {axis: number % value for axis, value in fixed.items()}
-    point = "".join(sep + row.format(channel=kind, player=k, payoff=number, **cells,
-                                     **{vary: number}) for k in (1, 2, 3, 4))
+    point = "".join(sep + row.format(channel=kind, player=k, payoff="%s", **cells,
+                                     **{vary: "%s"}) for k in (1, 2, 3, 4))
 
     slices = (np.stack(np.broadcast_arrays(axis[:, None], payoffs), -1)
               for axis, payoffs in game._sweep(kind, vary, fixed, points))
-    return _table_text(head, point, sep, tail, slices)
+    return _table_text(head, point, sep, tail, number, slices)
 
 
 def cmd_sweep(args) -> int:
@@ -258,7 +274,7 @@ def cmd_compare(args) -> int:
               for name in ("gamma", "tolerance", "max_difference")}
     fields.update(channel=report.kind, verdict=report.verdict)
     _write_output(_table_text(head.format(**fields), sep + row.format(**fields), sep, tail,
-                              report.points), args.out)
+                              number, report.points), args.out)
     print(f"{report.kind}: {report.verdict} "
           f"(max difference {report.max_difference:.6g})", file=sys.stderr)
     if report.kind == "phase_flip" and report.verdict == "inconsistent":

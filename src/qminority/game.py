@@ -37,7 +37,9 @@ class CurvePoint(NamedTuple):
 
 class Evaluation(NamedTuple):
     """Batch result of ``evaluate``: one row or entry per operating point. Where it
-    certified positivity, ``min_eigenvalue`` holds the bound EIGENVALUE_FLOOR/2."""
+    certified positivity, from a Cholesky factor of rho's lower triangle plus s I,
+    ``min_eigenvalue`` holds EIGENVALUE_FLOOR/2 = -s, a bound on the symmetrized
+    state's smallest eigenvalue up to (d-1)/2 times its hermiticity residual."""
 
     payoffs: np.ndarray         # (n, 4)
     trace_residual: np.ndarray  # (n,) of the final state

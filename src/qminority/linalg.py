@@ -207,28 +207,39 @@ def validate_densities(rho: np.ndarray, spectrum: bool = True) -> ValidationRepo
     """Residuals of every density matrix in a (..., d, d) stack, as arrays.
 
     ``spectrum=False`` certifies positivity instead of solving it: if every state passes
-    the hermiticity and trace checks and the symmetrized stack plus s I, s =
-    -EIGENVALUE_FLOOR/2, has a finite Cholesky factor, each smallest eigenvalue is above
-    -s up to rounding (about d^2 eps), and ``min_eigenvalue`` holds that bound. Else
-    the report is the eigen-solve's, so the verdicts never differ. A state with a nan
-    or inf entry has a nan or inf hermiticity residual; it is not solved, and its
-    ``min_eigenvalue`` is nan, so it fails.
+    the hermiticity and trace checks, one batched Cholesky factors H + s I, s =
+    -EIGENVALUE_FLOOR/2, where H is the hermitian matrix of rho's lower triangle and
+    real diagonal (all LAPACK reads). H is the symmetrized state (rho + rho+)/2 up to
+    off-diagonal entries of at most residual/2, so a finite factor puts each smallest
+    eigenvalue of the symmetrized state above -s - (d-1)/2 * residual, up to rounding
+    (about d^2 eps), and ``min_eigenvalue`` holds -s. Else the report is the
+    eigen-solve's, so the verdicts never differ. A state with a nan or inf entry has a
+    nan or inf hermiticity residual; it is not solved, and its ``min_eigenvalue`` is
+    nan, so it fails.
     """
-    adjoint = _dagger(rho)
+    dim = rho.shape[-1]
+    flat = rho.reshape(*rho.shape[:-2], dim * dim)
+    entries, lower = np.arange(dim * dim).reshape(dim, dim), np.tri(dim, dtype=bool)
     with np.errstate(invalid="ignore"):  # inf - inf in a non-finite state
-        herm = np.max(np.abs(rho - adjoint), axis=(-2, -1))
+        # |rho - rho+| is symmetric in (i, j): the lower triangle holds its maximum
+        gap = np.take(flat, entries[lower], axis=-1)
+        gap -= np.take(flat, entries.T[lower], axis=-1).conj()
+        herm = np.abs(gap).max(axis=-1)
         trace = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
-        # eigvalsh wants an exactly hermitian input; symmetrize first so the
-        # reported spectrum is meaningful even when hermiticity already failed
-        sym = (rho + adjoint) / 2.0
-    del adjoint  # the certificate holds no more arrays than the eigen-solve
+    del gap
     if not spectrum and np.all((herm <= HERMITICITY_TOL) & (trace <= TRACE_TOL)):
-        sym.reshape(*sym.shape[:-2], -1)[..., ::sym.shape[-1] + 1] -= EIGENVALUE_FLOOR / 2
+        shifted = np.array(rho, dtype=complex)
+        shifted.reshape(flat.shape)[..., ::dim + 1] -= EIGENVALUE_FLOOR / 2
         try:
-            if np.isfinite(np.linalg.cholesky(sym)).all():
+            # a nan anywhere in a row of the factor reaches that row's diagonal entry
+            if np.isfinite(np.linalg.cholesky(shifted).diagonal(0, -2, -1)).all():
                 return ValidationReport(herm, trace, np.full(herm.shape, EIGENVALUE_FLOOR / 2))
         except np.linalg.LinAlgError:
             pass
+        del shifted
+    with np.errstate(invalid="ignore"):
+        # eigvalsh wants an exactly hermitian input; symmetrize first so the
+        # reported spectrum is meaningful even when hermiticity already failed
         sym = (rho + _dagger(rho)) / 2.0
     finite = np.isfinite(herm)
     sym[np.logical_not(finite)] = 0.0  # eigvalsh does not converge on nan or inf

@@ -40,11 +40,15 @@ import subprocess
 import sys
 import tempfile
 
-_CHILD = """
-import os, resource, sys
+# the check every child script starts with: it must import the private copy
+_PRIVATE = """
+import os, sys
 from qminority import cli
 if not os.path.realpath(cli.__file__).startswith(os.getcwd()):
     sys.exit(f"imported {cli.__file__}, not the private copy")
+"""
+_CHILD = """
+import resource
 code = cli.main(sys.argv[1:])
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 with open("/proc/self/status") as status:
@@ -54,18 +58,24 @@ sys.exit(code)
 """
 
 
-def cli_usage(argv: list[str]) -> tuple[float, int]:
-    """Peak RSS in MB and minor page faults of one CLI call with these arguments, in a
-    new child that imports a bytecode-free copy of the package from a new temporary
-    directory, its working directory, where a relative ``--out`` path is written."""
+def run_private(script: str, argv: list[str]) -> subprocess.CompletedProcess:
+    """Run ``script`` with these arguments in a new child that imports a bytecode-free
+    copy of the package, as ``cli``, from a new temporary directory, its working
+    directory, where a relative ``--out`` path is written."""
     package = importlib.util.find_spec("qminority").submodule_search_locations[0]
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(package, os.path.join(tmp, "qminority"),
                         ignore=shutil.ignore_patterns("__pycache__"))
         path = os.pathsep.join(filter(None, [tmp, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", _CHILD, *argv], cwd=tmp, timeout=600,
-                              capture_output=True, text=True,
+        return subprocess.run([sys.executable, "-c", _PRIVATE + script, *argv], cwd=tmp,
+                              timeout=600, capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1"))
+
+
+def cli_usage(argv: list[str]) -> tuple[float, int]:
+    """Peak RSS in MB and minor page faults of one CLI call with these arguments, in
+    its own ``run_private`` child."""
+    proc = run_private(_CHILD, argv)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} exited {proc.returncode}: {proc.stderr}")
     kilobytes, faults = proc.stdout.splitlines()[-1].split()

@@ -322,6 +322,49 @@ class TestStreamedSweep:
         assert memory_gates.main(["sweep", "20001", "3"]) == 0, capsys.readouterr().out
 
 
+# floats the table writer must keep apart or format alike: signed zeros, repeats, a
+# subnormal, both infinities and nans of both signs
+EDGE_VALUES = np.array([0.0, -0.0, 0.25, 0.25, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf,
+                        np.nan, -np.nan, 0.1 + 0.2, 1 / 3, 1 / 3, 0.0, 1e300])
+
+
+def per_value_text(head, point, sep, tail, number, slices):
+    """The table text with every value %-formatted on its own."""
+    rows = "".join((point * len(part)) % tuple(number % value for value in part.ravel().tolist())
+                   for part in slices)
+    return head + rows[len(sep):] + tail
+
+
+class TestTableText:
+    """_table_text formats each distinct bit pattern of a slice once, into the same
+    text as formatting every value on its own."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("table", ["sweep", "compare"])
+    def test_matches_per_value_formatting(self, table, fmt):
+        if table == "sweep":
+            head, row, sep, tail, number = cli._SWEEP_FORMATS[fmt]
+            point = "".join(sep + row.format(channel="pf", player=k, p="%s", mu="0.5",
+                                             gamma="0", payoff="%s") for k in (1, 2))
+        else:
+            head, row, sep, tail, number = cli._COMPARE_FORMATS[fmt]
+            fields = dict(channel="pf", gamma="0", tolerance="1e-10", verdict="consistent",
+                          max_difference="0")
+            head, point = head.format(**fields), sep + row.format(**fields)
+        width = point.count("%s")
+        values = np.resize(EDGE_VALUES, (6, width))
+        slices = [values[:4], values[4:]]
+        text = "".join(cli._table_text(head, point, sep, tail, number, iter(slices)))
+        assert text == per_value_text(head, point, sep, tail, number, slices)
+        assert number % -0.0 in text and number % 0.0 in text
+
+    @pytest.mark.parametrize("number", ["%.17g", "%r"])
+    def test_one_value_slices(self, number):
+        slices = [EDGE_VALUES[i:i + 1, None] for i in range(len(EDGE_VALUES))]
+        text = "".join(cli._table_text("[", ",%s", ",", "]", number, iter(slices)))
+        assert text == per_value_text("[", ",%s", ",", "]", number, slices)
+
+
 class TestGrammar:
     def test_built_once_at_import(self, capsys, monkeypatch):
         def build_parser():
@@ -354,10 +397,10 @@ class TestGrammar:
         assert vars(cli._PARSER.parse_args(argv)) == first == vars(cli.build_parser().parse_args(argv))
 
 
-# a child that runs main twice and prints the second run's exit code and minor faults
+# a memory_gates.run_private script, which has imported sys and cli: it runs main
+# twice and prints the second run's exit code and minor faults
 _SECOND_SWEEP = """
-import resource, sys
-from qminority import cli
+import resource
 cli.main(sys.argv[1:])
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 code = cli.main(sys.argv[1:])
@@ -389,13 +432,14 @@ class TestHeapPolicy:
     """``main`` has glibc keep freed heap memory; importing the package does not."""
 
     @pytest.mark.skipif(not GLIBC, reason="the policy is set through glibc's mallopt")
-    def test_second_sweep_faults_in_no_pages(self, tmp_path):
+    def test_second_sweep_faults_in_no_pages(self):
         # the first sweep's pages are kept and reused: at default thresholds the
-        # second 101-point sweep faults in about 400 pages its chunks gave back
+        # second 101-point sweep faults in about 400 pages its chunks gave back. The
+        # child imports the gates' bytecode-free copy: loading bytecode leaves a heap
+        # in which the second sweep faults in about 150 pages even with the policy
         argv = ["sweep", "--channel", "pf", "--vary", "p", "--mu", "0.3", "--gamma",
-                "pi/2", "--points", "101", "--out", str(tmp_path / "sweep.csv")]
-        proc = subprocess.run([sys.executable, "-c", _SECOND_SWEEP, *argv],
-                              capture_output=True, text=True, timeout=120, env=child_env())
+                "pi/2", "--points", "101", "--out", "sweep.csv"]
+        proc = memory_gates.run_private(_SECOND_SWEEP, argv)
         code, faults = proc.stdout.split()
         assert code == "0", proc.stderr
         assert int(faults) < 100

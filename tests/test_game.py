@@ -741,18 +741,25 @@ class TestEvaluate:
         assert peak(1_001) <= peak(game.CHUNK_POINTS) + 0.25 * 2 ** 20
 
     def test_certificate_holds_no_more_memory(self):
-        # the certificate shifts the symmetrized stack in place, with the adjoint
-        # dropped, so its factor takes no more room than the eigen-solve's arrays
-        grid = np.linspace(0.0, 1.0, game.CHUNK_POINTS)
+        # the certificate copies the stack once and factors the copy, with no adjoint
+        # or symmetrized stack beside them, so it peaks no higher than the eigen-solve.
+        # Each peak is validate_densities' own on one fixed stack, the least of three
+        rng = np.random.default_rng(0)
+        rho = np.stack([reference.random_density(rng) for _ in range(game.CHUNK_POINTS)])
 
         def peak(spectrum):
-            tracemalloc.start()
-            try:
-                game.evaluate("depolarizing", grid, 0.3, np.pi / 2, spectrum=spectrum)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        peak(False)  # warm: one-time set-up is counted against neither side
+            peaks = []
+            for _ in range(3):
+                tracemalloc.start()
+                try:
+                    report = linalg.validate_densities(rho, spectrum=spectrum)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+                assert report.ok.all()
+            return min(peaks)
+        certified = linalg.validate_densities(rho, spectrum=False).min_eigenvalue
+        assert np.all(certified == linalg.EIGENVALUE_FLOOR / 2)
         assert peak(False) <= peak(True)
 
     def test_default_solves_every_spectrum(self, monkeypatch):
@@ -770,15 +777,20 @@ class TestEvaluate:
 
     def test_certified_verdicts_on_every_figure_and_compare_state(self, monkeypatch):
         # every final state of the 35 figure sweeps and the five compare grids gets
-        # the eigen-solve's verdict from the certificate, and every one is certified
+        # the eigen-solve's verdict and residuals from the certificate, and every one
+        # is certified
         validate, verdicts = linalg.validate_densities, []
 
         def both(rho, spectrum=True):
             certified = validate(rho, spectrum=False)
             eigen = linalg.ValidationReport(*reference.eigen_residuals(rho))
-            verdicts.append((len(rho), certified.ok.tolist() == eigen.ok.tolist(),
-                             bool(np.all(certified.min_eigenvalue
-                                         == linalg.EIGENVALUE_FLOOR / 2))))
+            # the certificate's residuals are the eigen-solve's, byte for byte
+            same = (certified.ok.tolist() == eigen.ok.tolist()
+                    and certified.hermiticity_residual.tobytes()
+                    == eigen.hermiticity_residual.tobytes()
+                    and certified.trace_residual.tobytes() == eigen.trace_residual.tobytes())
+            verdicts.append((len(rho), same, bool(np.all(certified.min_eigenvalue
+                                                         == linalg.EIGENVALUE_FLOOR / 2))))
             return validate(rho, spectrum)
         monkeypatch.setattr(linalg, "validate_densities", both)
         for kind in channels.KINDS:

@@ -477,6 +477,57 @@ class TestPositivityCertificate:
                 or report_bytes(certified) == report_bytes(eigen))
 
 
+def with_antihermitian_part(seed, smallest, sign):
+    """state_with_spectrum plus an antihermitian part with entries of 0.499e-12 whose
+    lower triangle moves the smallest eigenvalue of the matrix the certificate factors
+    by about sign * 6e-12, and leaves the symmetrized state as it was."""
+    v = random_unitary(np.random.default_rng(seed))[:, 0]  # the smallest eigenvector
+    phases = v[:, None] * v.conj()
+    part = np.tril(-sign * 0.499e-12 * phases / np.abs(phases), -1)
+    return state_with_spectrum(seed, smallest) + part - part.conj().T
+
+
+class TestCertificateResiduals:
+    """The certificate reads |rho - rho+| from one triangle and factors rho's lower
+    triangle: the residuals are the eigen-solve's, and so is every verdict."""
+
+    @pytest.mark.parametrize("spectrum", [False, True])
+    @pytest.mark.parametrize("dim", [2, 4, 16])
+    def test_residuals_are_the_eigen_solve_residuals(self, dim, spectrum):
+        rng = np.random.default_rng(dim)
+        clean = np.stack([random_density(rng, dim) for _ in range(24)]).reshape(2, 12, dim, dim)
+        noise = rng.normal(size=clean.shape) + 1j * rng.normal(size=clean.shape)
+        # states within the tolerances, certified, then a stack whose noise fails some
+        for scale, certified in ((np.full(12, 1e-15), True), (np.logspace(-16, -8, 12), False)):
+            rho = clean + noise * scale[:, None, None]
+            herm, trace, _ = reference.eigen_residuals(rho)
+            for states, want in ((rho, (herm, trace)), (rho[1, 11], (herm[1, 11], trace[1, 11]))):
+                report = linalg.validate_densities(states, spectrum=spectrum)
+                assert np.all(report.min_eigenvalue == CERTIFIED) == (certified and not spectrum)
+                assert [np.asarray(field).tobytes() for field in want] == report_bytes(report)[:2]
+
+    @pytest.mark.parametrize("smallest, sign, certified, ok", [
+        (-4.5e-11, 1, False, True),
+        (-5.5e-11, -1, True, True),
+        (-9.9e-11, 1, False, True),
+        (-1.01e-10, -1, False, False),
+    ])
+    def test_antihermitian_part_near_the_shift(self, smallest, sign, certified, ok):
+        # the factored matrix is the symmetrized state up to (d - 1)/2 * residual in
+        # norm: a certified state is within that of -s, and the verdict is the solve's
+        rho = np.stack([with_antihermitian_part(seed, smallest, sign) for seed in range(8)])
+        report, eigen = linalg.validate_densities(rho, spectrum=False), eigen_report(rho)
+        assert np.all((0.99e-12 < report.hermiticity_residual)
+                      & (report.hermiticity_residual < linalg.HERMITICITY_TOL))
+        assert report.ok.tolist() == eigen.ok.tolist() == [ok] * 8
+        if certified:
+            assert np.all(report.min_eigenvalue == CERTIFIED)
+            bound = CERTIFIED - 15 / 2 * report.hermiticity_residual
+            assert np.all((eigen.min_eigenvalue < CERTIFIED) & (eigen.min_eigenvalue > bound))
+        else:
+            assert report_bytes(report) == report_bytes(eigen)
+
+
 class TestTensorStacks:
     # np.kron has no notion of a stack: a np.kron chain over (m, 2, 2) arrays
     # gives an (m^k, ...) block matrix, so the oracle runs it row by row
