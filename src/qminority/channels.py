@@ -46,12 +46,13 @@ class ChannelSpec:
 
 # Factor index patterns in itertools.product order. Each pattern's Pauli string has
 # one nonzero entry per row, in row i at column i ^ x (x the qubits its X and Y flip):
-# _PAULI_COLUMNS holds those columns and _PAULI_PHASES those entries, each the product
-# linalg.tensor forms of the single-qubit Paulis' nonzero entries in that row
+# _PAULI_COLUMNS[i, a] holds that column of string a and _PAULI_PHASES[i, a] that
+# entry, the product linalg.tensor forms of the single-qubit Paulis' nonzero entries
+# in row i
 _PAULI_PATTERNS = np.array(list(itertools.product(range(4), repeat=N_QUBITS)))
-_PAULI_COLUMNS = np.arange(16) ^ (np.array([0, 1, 1, 0])[_PAULI_PATTERNS] @ [8, 4, 2, 1])[:, None]
-_PAULI_PHASES = linalg.tensor(np.stack([m[m != 0][:, None] for m in map(linalg.pauli, range(4))])
-                              [_PAULI_PATTERNS.T])[..., 0]
+_PAULI_COLUMNS = np.arange(16)[:, None] ^ (np.array([0, 1, 1, 0])[_PAULI_PATTERNS] @ [8, 4, 2, 1])
+_PAULI_PHASES = np.ascontiguousarray(linalg.tensor(
+    np.stack([m[m != 0][:, None] for m in map(linalg.pauli, range(4))])[_PAULI_PATTERNS.T])[..., 0].T)
 _PAULI_COLUMNS.setflags(write=False)
 _PAULI_PHASES.setflags(write=False)
 # A Pauli string X^x Z^z (up to a phase) maps rho[i, j] to (-1)^(z.(i^j)) rho[i^x, j^x].
@@ -65,6 +66,14 @@ _BANDS = np.arange(16)[:, None] * 16 + (np.arange(16)[:, None] ^ np.arange(16))
 _WALSH = linalg.tensor([np.array([[1.0, 1.0], [1.0, -1.0]])] * N_QUBITS)
 _AD_PATTERNS = np.array(list(itertools.product(range(2), repeat=N_QUBITS)))
 _POPCOUNT = _AD_PATTERNS.sum(axis=1)  # |i|, the excited qubits of basis state i
+# The columns of the 16 products of the single-qubit damping pair, in _AD_PATTERNS
+# order, then of the collective pair: a0 = diag(1, keep) holds row i in column i and
+# a1 = lose |0><1| row 0 in column 1, so a product holds row i in column i ^ x (x the
+# qubits it damps) or nowhere; the collective pair holds row i in column i, and row 15
+# in column 0. A row held nowhere is put in column 0
+_AD_COLUMNS = np.concatenate([np.arange(16)[:, None] ^ (_AD_PATTERNS @ [8, 4, 2, 1]),
+                              np.arange(16)[:, None] * [1, 0]], axis=1)
+_AD_COLUMNS.setflags(write=False)
 
 
 def _check_points(kind: str, p: np.ndarray, mu: np.ndarray) -> None:
@@ -104,17 +113,30 @@ def pauli_memory_kraus(kind: str, p: float, mu: float) -> KrausSet:
     error pattern with nonzero weight (see ``pauli_memory_weights``)."""
     if kind == "amplitude_damping":
         raise ValueError("amplitude_damping is not a Pauli mixture channel")
-    return KrausSet(next(_kraus_sets(kind, [p], [mu])))
+    return KrausSet._from_table(*next(_kraus_tables(kind, [p], [mu])))
+
+
+def _damping_values(p: float) -> np.ndarray:
+    """(16, 18) entries at ``_AD_COLUMNS`` once p passes: the 16 products of the
+    single-qubit damping pair, each the product linalg.tensor forms of the pair's
+    entries in that row, then the collective pair (see ``ad_correlated_kraus``)."""
+    ChannelSpec("amplitude_damping", p, 0.0)  # the p check
+    keep, lose = np.sqrt(1.0 - p), np.sqrt(p)
+    pair = np.array([[1.0, keep], [lose, 0.0]], dtype=complex)  # row entries of a0, a1
+    products = linalg.tensor(pair[:, :, None][_AD_PATTERNS.T])[..., 0]
+    chi = np.arcsin(lose)
+    collective = np.zeros((16, 2), dtype=complex)
+    collective[:, 0] = 1.0
+    collective[0, 0], collective[15, 1] = np.cos(chi), np.sin(chi)
+    return np.concatenate([products.T, collective], axis=1)
 
 
 def ad_uncorrelated_kraus(p: float) -> np.ndarray:
     """(m, 16, 16) tensor products of the single-qubit damping pair, zero
     products dropped."""
-    ChannelSpec("amplitude_damping", p, 0.0)  # the p check
-    a0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - p)]], dtype=complex)
-    a1 = np.array([[0.0, np.sqrt(p)], [0.0, 0.0]], dtype=complex)
-    stack = linalg.tensor(np.stack([a0, a1])[_AD_PATTERNS.T])
-    return stack[np.abs(stack).max(axis=(1, 2)) > 0.0]
+    values = _damping_values(p)[:, :16]
+    keep = np.abs(values).max(axis=0) > 0.0
+    return _scatter(_AD_COLUMNS[:, :16][:, keep], values[:, keep])
 
 
 def ad_correlated_kraus(p: float) -> np.ndarray:
@@ -125,49 +147,56 @@ def ad_correlated_kraus(p: float) -> np.ndarray:
     and the second transfers it to |1..1>; every state orthogonal to |0..0>
     passes through untouched.
     """
-    ChannelSpec("amplitude_damping", p, 0.0)  # the p check
-    dim = 2 ** N_QUBITS
-    chi = np.arcsin(np.sqrt(p))
-    pair = np.zeros((2, dim, dim), dtype=complex)
-    pair[0] = np.eye(dim)
-    pair[0, 0, 0] = np.cos(chi)
-    pair[1, dim - 1, 0] = np.sin(chi)
-    return pair
+    return _scatter(_AD_COLUMNS[:, 16:], _damping_values(p)[:, 16:])
 
 
 def build_channel(spec: ChannelSpec) -> KrausSet:
-    """Kraus set for one channel application."""
-    return KrausSet(next(_kraus_sets(spec.kind, [spec.p], [spec.mu])))
+    """Kraus set for one channel application, laid out straight from its table."""
+    return KrausSet._from_table(*next(_kraus_tables(spec.kind, [spec.p], [spec.mu])))
 
 
-def _kraus_sets(kind: str, p, mu):
-    """The (k, 16, 16) Kraus stack of ``build_channel`` at each of n (p, mu) points, in
-    order, all points checked first: Pauli weights in one call, damping tables once per
-    run of p. Each stack is a new writable array that shares memory with no other, and
-    the batch keeps no reference to it once resumed."""
+def _kraus_tables(kind: str, p, mu):
+    """The (16, k) table of ``build_channel``'s set at each of n (p, mu) points, in
+    order, all points checked first: operator k holds, in row i, its one nonzero entry
+    values[i, k] at column columns[i, k], or, in a row of zeros, 0 at column 0. Pauli
+    weights in one call, damping entries once per run of p. Each table is new."""
     p, mu = np.asarray(p, dtype=float), np.asarray(mu, dtype=float)
     if kind != "amplitude_damping":
         for w in pauli_memory_weights(kind, p, mu):  # checks the kind and every point
             # the zero weights are exact (products with a vanishing branch probability);
-            # dropping them keeps 16 operators, not 256, for the single-axis channels
+            # dropping them keeps 16 operators, not 256, for the single-axis channels.
+            # Each entry is phase * sqrt(w), the complex product of the full string's
+            # entry and the weight. compress keeps the tables in C order
             keep = w > 0.0
-            ops = np.zeros((np.count_nonzero(keep), 16, 16), dtype=complex)
-            # each nonzero entry is phase * sqrt(w), the complex product of the full
-            # string's entry and the weight
-            ops[np.arange(len(ops))[:, None], np.arange(16), _PAULI_COLUMNS[keep]] = (
-                _PAULI_PHASES[keep] * np.sqrt(w[keep]).astype(complex)[:, None])
-            yield ops
-            del ops  # so a consumer that drops its stack holds the only one
+            yield (np.compress(keep, _PAULI_COLUMNS, axis=1),
+                   np.compress(keep, _PAULI_PHASES, axis=1) * np.sqrt(w[keep]).astype(complex))
         return
     _check_points(kind, p, mu)
     last = None
     for p_i, mu_i in zip(p.tolist(), mu.tolist()):
         if p_i != last:
-            last, uncorrelated, correlated = p_i, ad_uncorrelated_kraus(p_i), ad_correlated_kraus(p_i)
-        stack = np.concatenate([np.sqrt(1.0 - mu_i) * uncorrelated, np.sqrt(mu_i) * correlated])
-        stack = stack[np.abs(stack).max(axis=(1, 2)) > 0.0]
-        yield stack
-        del stack
+            last, unscaled = p_i, _damping_values(p_i)
+        # sqrt(1 - mu) times each product and sqrt(mu) times the collective pair, as
+        # complex products; zero operators are dropped
+        values = unscaled * np.repeat([np.sqrt(1.0 - mu_i), np.sqrt(mu_i)], [16, 2])
+        keep = np.abs(values).max(axis=0) > 0.0
+        columns, values = np.compress(keep, _AD_COLUMNS, axis=1), np.compress(keep, values, axis=1)
+        columns[values == 0] = 0  # where a scan of the stack finds a row of zeros
+        yield columns, values
+
+
+def _scatter(columns: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The (k, 16, 16) stack of a (16, k) table, as a new writable array of zeros."""
+    stack = np.zeros((values.shape[1], 16, 16), dtype=complex)
+    stack[np.arange(len(stack)), np.arange(16)[:, None], columns] = values
+    return stack
+
+
+def _kraus_sets(kind: str, p, mu):
+    """The (k, 16, 16) Kraus stack of ``build_channel`` at each of n (p, mu) points,
+    scattered from its ``_kraus_tables`` table: each a new writable array that shares
+    memory with no other, and that the batch keeps no reference to."""
+    return (_scatter(*table) for table in _kraus_tables(kind, p, mu))
 
 
 def channel_maps(kind: str, p: np.ndarray, mu: np.ndarray):

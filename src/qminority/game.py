@@ -296,15 +296,15 @@ def _payoff_form(rho: np.ndarray, post, moves: list, player: int) -> np.ndarray:
 
     J keeps the player's payoff projector P (the payoff is symmetric under bit
     complement), so u scores Tr[O u rho u+] on the pre-move state rho, with
-    O = sum A+ P A = Y+Y over the second Kraus set, Y the rows of every A at the two
-    winning outcomes. Every Kraus operator is X^c D, so O is diagonal and commutes
-    with Z on the mover's qubit: four probe moves fix c and b."""
+    O = sum A+ P A over the second Kraus set. Every Kraus operator is X^c D, so O is
+    diagonal, read off the set's table, and commutes with Z on the mover's qubit:
+    four probe moves fix c and b."""
     slot = list(moves)
     slot[player - 1] = _PROBE_MOVES
-    rows = post._operator_rows(_PAYOFF_TABLE[player - 1] > 0).reshape(-1, 16)  # Y, (2k, 16)
-    # Tr[O sigma] = sum_ij O_ji sigma_ij for each probe's state sigma, and O.T = Y.T Y*
-    up, down, x, y = np.sum((rows.T @ rows.conj()) * linalg.conjugate(rho, linalg.tensor(slot)),
-                            axis=(-2, -1)).real
+    diagonal = post._column_weights(_PAYOFF_TABLE[player - 1] > 0)
+    # Tr[O sigma] = sum_c O_cc sigma_cc for each probe's state sigma
+    probes = linalg.conjugate(rho, linalg.tensor(slot))
+    up, down, x, y = np.diagonal(probes, axis1=-2, axis2=-1).real @ diagonal
     c = (up + down) / 2
     return np.array([c, x - c, y - c, (up - down) / 2])
 

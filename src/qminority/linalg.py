@@ -123,6 +123,8 @@ class KrausSet:
     first a (d, n) table of the columns and values of the one nonzero entry in each
     row of each A_k, when every entry so kept is real or imaginary (the X^c D form
     of every ``build_channel`` operator), else the (d*n, d) rows of every A_k.
+    sum A+A is diagonal for a table-form set, which reads its completeness residual
+    off the table; any other set takes it from the Gram product of its stack.
     ``stack`` reads the operators back from the adjoints, as a new read-only
     (n, d, d) array. Iterating the set yields its operators; calling it is the
     channel, ``ks(rho) == apply_kraus(rho, ks)``.
@@ -134,24 +136,75 @@ class KrausSet:
             raise ValueError("empty Kraus set")
         if operators.ndim != 3 or operators.shape[1] != operators.shape[2]:
             raise ValueError(f"Kraus set must be an (n, d, d) stack, got {operators.shape}")
-        self.completeness_residual = completeness_residual(operators)
         # the adjoints conjugated straight into their row layout; conjugation is exact,
-        # so the operators read back from them bit for bit
-        self._adjoints = np.empty(operators.shape, dtype=complex)
-        np.conjugate(operators.swapaxes(1, 2), out=self._adjoints)
-        # row i of A_k as (column, value) at [i, k], from one pass over the stack
+        # so the operators read back from them bit for bit, signed zeros included
+        adjoints = np.empty(operators.shape, dtype=complex)
+        np.conjugate(operators.swapaxes(1, 2), out=adjoints)
+        # row i of A_k as (column, value) at [i, k], from one pass over the stack; no row
+        # holds two nonzero entries when the stack holds no more of them than its
+        # nonzero rows do
         nonzero = operators != 0
         columns = nonzero.argmax(axis=2).T
         values = np.take_along_axis(operators, columns.T[..., None], axis=2)[..., 0].T
-        if ((np.count_nonzero(nonzero, axis=2) <= 1).all()
+        if (np.count_nonzero(nonzero) == np.count_nonzero(values)
                 and ((values.real == 0) | (values.imag == 0)).all()):
-            self._dense_rows, self._columns, self._values = None, columns.ravel(), values.copy()
-        else:
-            # row i*n + k is row i of A_k, a C-order copy, so never the caller's array
-            self._dense_rows = operators.swapaxes(0, 1).copy().reshape(-1, operators.shape[-1])
+            self._lay_out(columns.copy(), values.copy(), adjoints)
+            return
+        self.completeness_residual = completeness_residual(operators)
+        # row i*n + k is row i of A_k, a C-order copy, so never the caller's array
+        self._adjoints = adjoints
+        self._dense_rows = operators.swapaxes(0, 1).copy().reshape(-1, operators.shape[-1])
+        self._freeze()
+
+    @classmethod
+    def _from_table(cls, columns: np.ndarray, values: np.ndarray) -> KrausSet:
+        """The set whose A_k holds, in each row i, the one entry values[i, k] at column
+        columns[i, k] (a row of zeros: 0 at any column), from a (d, n) table whose
+        values are all real or imaginary. The set adopts both arrays."""
+        ks = cls.__new__(cls)
+        ks._lay_out(columns, values)
+        return ks
+
+    def _lay_out(self, columns: np.ndarray, values: np.ndarray, adjoints=None) -> None:
+        """Lay the set out from its (d, n) table: the table for the gather, the exact
+        residual of the table, and the adjoint rows, scattered from the table unless
+        ``adjoints`` holds them already."""
+        dim, n = values.shape
+        self._dense_rows, self._columns, self._values = None, columns.reshape(-1), values
+        # with one nonzero entry per row, sum A+A is diagonal
+        self.completeness_residual = float(np.abs(self._column_weights(slice(None)) - 1.0).max())
+        if adjoints is None:
+            # entry [k, c, i] is conj(A_k[i, c]), at flat index at[i, k], among
+            # conj(+0) = (0, -0) everywhere else: the bytes of the conjugated stack the
+            # table scatters into. The index is formed, and the table conjugated in place
+            # and back (exact both ways), so that no temporary lives beside the adjoints
+            at = columns * dim
+            at += np.arange(n) * dim * dim
+            at += np.arange(dim)[:, None]
+            adjoints = np.full((n, dim, dim), complex(0.0, -0.0))
+            np.conjugate(values, out=values)
+            adjoints.reshape(-1)[at] = values
+            np.conjugate(values, out=values)
+        self._adjoints = adjoints
+        self._freeze()
+
+    def _freeze(self) -> None:
         for array in vars(self).values():
             if isinstance(array, np.ndarray):
                 array.setflags(write=False)
+
+    def _column_weights(self, rows) -> np.ndarray:
+        """(d,) diagonal of sum_k A_k+ P A_k for the projector P on the basis states
+        ``rows`` selects (a table-form set only): in each column, the sum of |v|^2
+        over the table entries of those rows that lie in it."""
+        dim, n = self._values.shape
+        # summed per operator first, then pairwise over the operators: one running sum
+        # over all the entries of a column strays about ten times as far from the Gram
+        # product's sum
+        slots = self._columns.reshape(dim, n)[rows] * n + np.arange(n)
+        weights = np.bincount(slots.ravel(), (np.abs(self._values[rows]) ** 2).ravel(),
+                              minlength=dim * n)
+        return weights.reshape(dim, n).sum(axis=1)
 
     def _products(self, states: np.ndarray) -> np.ndarray:
         """(g, d, n*d) products A_k rho for g states, row i holding row i of every one."""
@@ -166,13 +219,9 @@ class KrausSet:
         scaled *= self._values[..., None]
         return products.reshape(len(states), dim, -1)
 
-    def _operator_rows(self, index) -> np.ndarray:
-        """(n, r, d) copy of rows ``index`` of every operator, read from the adjoints."""
-        return np.conjugate(self._adjoints[:, :, index]).swapaxes(1, 2)
-
     @property
     def stack(self) -> np.ndarray:
-        stack = self._operator_rows(slice(None))
+        stack = np.conjugate(self._adjoints).swapaxes(1, 2)
         stack.setflags(write=False)
         return stack
 

@@ -286,6 +286,15 @@ class TestExactStacks:
                 assert got.shape == expected.shape, (kind, p, mu)
                 assert np.array_equal(got, expected), (kind, p, mu)
 
+    @pytest.mark.parametrize("kind", channels.KINDS)
+    def test_table_residual_matches_the_gram_product(self, kind):
+        # the set's residual, from its table, against the Gram product of its stack
+        for p in EXACT_GRID:
+            for mu in EXACT_GRID:
+                ks = channels.build_channel(channels.ChannelSpec(kind, p, mu))
+                gram = linalg.completeness_residual(ks.stack)
+                assert abs(ks.completeness_residual - gram) <= 1e-15, (p, mu)
+
     @pytest.mark.parametrize("kind", channels.PAULI_KINDS)
     @pytest.mark.parametrize("grid", ["sweep", "random"])
     def test_weights_match_python_chain(self, kind, grid):
@@ -337,15 +346,16 @@ class TestKrausSets:
     @pytest.mark.parametrize("kind", channels.KINDS)
     def test_stacks_are_fresh_writable_arrays(self, kind, monkeypatch):
         # validate's tamper hook scales a yielded stack in place, so no stack may share
-        # memory with the Pauli column and phase tables, the damping tables or another stack
-        tables = [channels._PAULI_COLUMNS, channels._PAULI_PHASES]
-        for name in ("ad_uncorrelated_kraus", "ad_correlated_kraus"):
-            monkeypatch.setattr(channels, name, lambda p, table=getattr(channels, name):
-                                tables.append(table(p)) or tables[-1])
+        # memory with the Pauli column and phase tables, the damping column table, the
+        # damping entries of each run of p or another stack
+        tables = [channels._PAULI_COLUMNS, channels._PAULI_PHASES, channels._AD_COLUMNS]
+        values = channels._damping_values
+        monkeypatch.setattr(channels, "_damping_values",
+                            lambda p: tables.append(values(p)) or tables[-1])
         p, mu = np.repeat(GRID, 5), np.tile(GRID, 5)
         stacks = list(channels._kraus_sets(kind, p, mu))
         assert len(stacks) == 25
-        assert len(tables) == (2 if kind in channels.PAULI_KINDS else 12)
+        assert len(tables) == (3 if kind in channels.PAULI_KINDS else 8)
         for i, stack in enumerate(stacks):
             assert type(stack) is np.ndarray and stack.flags.writeable
             for other in tables + stacks[:i]:

@@ -687,36 +687,44 @@ class TestValidate:
         assert [line.split(":")[0] for line in failing] == ["channel completeness"]
 
     def test_builds_its_sets_in_five_batched_calls(self, capsys, monkeypatch):
-        # the 125 completeness sets come from one p-major 5x5 batch per kind; the one
-        # build_channel call is the equilibrium search's own phase-flip set
-        batches, builds = [], []
-        kraus_sets, build = channels._kraus_sets, channels.build_channel
+        # the 125 completeness stacks come from one p-major 5x5 batch per kind; the one
+        # other table is the equilibrium search's own phase-flip set, which build_channel
+        # lays out without a stack
+        batches, tables, builds = [], [], []
+        kraus_sets, kraus_tables, build = (channels._kraus_sets, channels._kraus_tables,
+                                           channels.build_channel)
 
-        def counted_sets(kind, p, mu):
-            batches.append((kind, np.asarray(p).tolist(), np.asarray(mu).tolist()))
-            return kraus_sets(kind, p, mu)
-        monkeypatch.setattr(channels, "_kraus_sets", counted_sets)
+        def counted(calls, function):
+            def call(kind, p, mu):
+                calls.append((kind, np.asarray(p).tolist(), np.asarray(mu).tolist()))
+                return function(kind, p, mu)
+            return call
+        monkeypatch.setattr(channels, "_kraus_sets", counted(batches, kraus_sets))
+        monkeypatch.setattr(channels, "_kraus_tables", counted(tables, kraus_tables))
         monkeypatch.setattr(channels, "build_channel",
                             lambda spec: builds.append(spec) or build(spec))
         code, _, _ = run_cli(["validate"], capsys)
         grid = [0.0, 0.25, 0.5, 0.75, 1.0]
         p, mu = [x for x in grid for _ in grid], grid * 5
         assert code == 0
-        assert [batch for batch in batches if len(batch[1]) > 1] == [
-            (kind, p, mu) for kind in channels.KINDS]
+        assert batches == [(kind, p, mu) for kind in channels.KINDS]
         assert builds == [channels.ChannelSpec("phase_flip", 0.0, 0.0)]
-        assert len(batches) == len(channels.KINDS) + len(builds)
+        assert tables == batches + [("phase_flip", [0.0], [0.0])]
 
     @pytest.mark.parametrize("argv", [["validate"], ["validate", "--inject-broken-channel"]])
     def test_checks_completeness_on_plain_stacks(self, argv, capsys, monkeypatch):
-        # the 125 completeness residuals come from plain stacks; the one set built is
-        # the equilibrium search's, which it applies
-        inits, init = [], linalg.KrausSet.__init__
-        monkeypatch.setattr(linalg.KrausSet, "__init__",
-                            lambda ks, operators: inits.append(ks) or init(ks, operators))
+        # the 125 completeness residuals come from plain stacks; the one set laid out
+        # is the equilibrium search's, which it applies
+        residuals, layouts = [], []
+        residual, lay_out = linalg.completeness_residual, linalg.KrausSet._lay_out
+        monkeypatch.setattr(linalg, "completeness_residual",
+                            lambda stack: residuals.append(type(stack)) or residual(stack))
+        monkeypatch.setattr(linalg.KrausSet, "_lay_out",
+                            lambda ks, *args: layouts.append(ks) or lay_out(ks, *args))
         code, _, _ = run_cli(argv, capsys)
         assert code == (1 if len(argv) > 1 else 0)
-        assert len(inits) == 1
+        assert residuals == [np.ndarray] * 125
+        assert len(layouts) == 1
 
     @pytest.mark.parametrize("inject_broken", [False, True])
     def test_holds_one_dense_stack_at_a_time(self, inject_broken):
@@ -896,6 +904,19 @@ class TestBestResponse:
                               "--mu", "0.3", "--gamma", "pi/2", "--grid", "5"], capsys)
         assert (code, len(builds)) == (0, 1)
 
+    @pytest.mark.parametrize("channel", ["dep", "ad"])
+    def test_lays_out_one_set_from_its_table(self, channel, capsys, monkeypatch):
+        # the search's one Kraus set is laid out from its table: no plain stack is
+        # scattered and no Gram product taken
+        layouts, lay_out = [], linalg.KrausSet._lay_out
+        monkeypatch.setattr(linalg.KrausSet, "_lay_out",
+                            lambda ks, *args: layouts.append(ks) or lay_out(ks, *args))
+        monkeypatch.setattr(linalg, "completeness_residual", reached)
+        monkeypatch.setattr(channels, "_scatter", reached)
+        code, _, _ = run_cli(["best-response", "--channel", channel, "--p", "0.3",
+                              "--mu", "0.3", "--gamma", "pi/2", "--grid", "9"], capsys)
+        assert (code, len(layouts)) == (0, 1)
+
     @pytest.mark.parametrize("argv,count", [
         # the pre-move state, the 10 screened candidates and ne_payoff
         ("--channel dep --p 0.3 --mu 0.3 --gamma pi/2 --grid 9", 12),
@@ -903,7 +924,7 @@ class TestBestResponse:
         ("--channel ad --p 0.4 --mu 0.3 --gamma pi/2", 20),
     ])
     def test_kraus_applies(self, argv, count, capsys, monkeypatch):
-        # the form reads the Kraus set's adjoint: it applies no set and builds no map;
+        # the form reads the Kraus set's table: it applies no set and builds no map;
         # each state a Kraus set is applied to counts once
         applies = []
         apply = linalg.apply_kraus
@@ -964,7 +985,26 @@ class TestRecordedEvaluations:
         assert workloads.check(key.split(), got, RECORDED_EVALUATIONS[key]) == []
 
 
+def blas_kernel() -> str:
+    """The core type the OpenBLAS bundled with numpy picked at load time, or "unknown"
+    where numpy does not link that library."""
+    try:
+        corename = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except (AttributeError, OSError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 class TestByteIdentity:
+    def test_names_the_kernel_openblas_reports(self):
+        # the kernel the failure message names is the one OpenBLAS prints at load time
+        proc = subprocess.run([sys.executable, "-c", "import numpy"], capture_output=True,
+                              text=True, env=dict(os.environ, OPENBLAS_VERBOSE="2"))
+        reported = [line.split(": ", 1)[1] for line in (proc.stdout + proc.stderr).splitlines()
+                    if line.startswith("Core: ")]
+        assert [blas_kernel()] == (reported or ["unknown"])
+
     def test_every_call_matches_its_digest(self, tmp_path, monkeypatch):
         # argparse wraps help and usage text to the terminal width
         monkeypatch.setenv("COLUMNS", "80")
@@ -979,7 +1019,9 @@ class TestByteIdentity:
                 differ.append(f"  {make_digests.key(argv)}: {', '.join(parts)}")
         assert not differ, (
             f"{len(differ)} of {len(argvs)} calls differ from tests/cli_digests.json, "
-            "recorded on Python 3.11 and numpy 2.4.6 (CI's versions):\n" + "\n".join(differ))
+            "recorded on Python 3.11 and numpy 2.4.6 (CI's versions) with OpenBLAS's "
+            f"SkylakeX kernel; this run has numpy {np.__version__} and the {blas_kernel()} "
+            "kernel:\n" + "\n".join(differ))
 
 
 class TestPayoff:

@@ -337,6 +337,87 @@ class TestApplyKrausLayout:
             ks.stack[0, 0, 0] = 1.0
 
 
+def random_gather_stack(rng, n=6, dim=8):
+    """A complete (n, dim, dim) Kraus stack with one nonzero entry per row, real or
+    imaginary, at columns repeated within and across operators, with zero rows and
+    zero entries of both signs: operator 0 has an entry in every column, and each entry
+    is divided by the root of its column's sum of squares."""
+    columns = rng.integers(0, dim, size=(n, dim))
+    columns[0] = rng.permutation(dim)
+    values = rng.normal(size=(n, dim)) * np.where(rng.random((n, dim)) < 0.5, 1.0, 1j)
+    values[1:][rng.random((n - 1, dim)) < 0.25] = 0.0
+    values /= np.sqrt(np.bincount(columns.ravel(), (np.abs(values) ** 2).ravel())[columns])
+    stack = np.zeros((n, dim, dim), dtype=complex)
+    stack[rng.random((n, dim, dim)) < 0.3] = complex(-0.0, -0.0)
+    stack[np.arange(n)[:, None], np.arange(dim), columns] = values
+    return stack
+
+
+class TestTableLayout:
+    """A set whose operators have one real or imaginary nonzero entry per row is laid
+    out from its (d, n) column and value table, with no Gram product."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("scale", [1.0, 0.9])
+    def test_residual_matches_the_gram_product(self, seed, scale):
+        stack = scale * random_gather_stack(np.random.default_rng(seed))
+        ks = linalg.KrausSet(stack)
+        assert ks._dense_rows is None
+        assert abs(ks.completeness_residual - linalg.completeness_residual(stack)) <= 1e-15
+        # the adjoint rows are the conjugated input, so its signed zeros read back
+        assert ks.stack.tobytes() == stack.tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_scanned_table_gives_the_same_set(self, seed):
+        # the table a stack is scanned for, laid out on its own, is the same set
+        stack = random_gather_stack(np.random.default_rng(seed))
+        scanned = linalg.KrausSet(stack)
+        table = linalg.KrausSet._from_table(scanned._columns.reshape(8, -1).copy(),
+                                            scanned._values.copy())
+        assert table.completeness_residual == scanned.completeness_residual
+        for name in ("_columns", "_values"):
+            assert getattr(table, name).tobytes() == getattr(scanned, name).tobytes()
+        rho = random_density(np.random.default_rng(seed), dim=8)
+        assert table(rho).tobytes() == scanned(rho).tobytes()
+
+    @pytest.mark.parametrize("kind", channels.KINDS)
+    def test_channel_tables_are_the_scanned_tables(self, kind):
+        # each channel set is the one KrausSet lays out from the plain stack, operand
+        # for operand and bit for bit: a row of zeros sits in column 0, as a scan finds it
+        grid = (0.0, 0.25, 0.5, 0.75, 1.0)
+        for p in grid:
+            for mu in grid:
+                ks = channels.build_channel(channels.ChannelSpec(kind, p, mu))
+                scanned = linalg.KrausSet(next(channels._kraus_sets(kind, [p], [mu])))
+                assert ks.completeness_residual == scanned.completeness_residual, (p, mu)
+                for name in ("_adjoints", "_columns", "_values"):
+                    assert getattr(ks, name).tobytes() == getattr(scanned, name).tobytes()
+
+    def test_scaled_weight_fails_completeness(self):
+        # one operator of a depolarizing table 1.01 times too long: its weight is 2%
+        # too large in every column
+        columns, values = next(channels._kraus_tables("depolarizing", [0.3], [0.3]))
+        values[:, 0] *= 1.01
+        ks = linalg.KrausSet._from_table(columns, values)
+        with pytest.raises(ValueError, match="Kraus completeness violated"):
+            linalg.apply_kraus(np.eye(16, dtype=complex) / 16, ks)
+
+    def test_build_holds_no_stack_beside_the_adjoints(self):
+        # a 256-operator set keeps its 1 MiB of adjoint rows and its 96 KiB table;
+        # building it holds at most one 32 KiB index beside them, where a plain stack
+        # scanned for its table took another 1 MiB
+        spec = channels.ChannelSpec("depolarizing", 0.3, 0.3)
+        channels.build_channel(spec)
+        tracemalloc.start()
+        try:
+            ks = channels.build_channel(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ks) == 256
+        assert peak <= 2 ** 20 + 160 * 2 ** 10
+
+
 class TestValidateDensity:
     def test_valid_state(self):
         rng = np.random.default_rng(4)
@@ -613,12 +694,6 @@ class TestKrausSet:
         from_list = linalg.apply_kraus(rho, ops)
         assert np.array_equal(linalg.apply_kraus(rho, np.stack(ops)), from_list)
         assert np.array_equal(linalg.apply_kraus(rho, linalg.KrausSet(ops)), from_list)
-
-    def test_operator_rows_are_rows_of_the_stack(self):
-        ks = channels.build_channel(channels.ChannelSpec("amplitude_damping", 0.3, 0.4))
-        for index in [np.arange(16) % 5 == 0, [15, 0], slice(None)]:
-            rows = ks._operator_rows(index)
-            assert rows.tobytes() == ks.stack[:, index].tobytes()
 
     def test_call_is_apply_kraus(self):
         rng = np.random.default_rng(9)
