@@ -68,9 +68,9 @@ _AD_PATTERNS = np.array(list(itertools.product(range(2), repeat=N_QUBITS)))
 _POPCOUNT = _AD_PATTERNS.sum(axis=1)  # |i|, the excited qubits of basis state i
 # The columns of the 16 products of the single-qubit damping pair, in _AD_PATTERNS
 # order, then of the collective pair: a0 = diag(1, keep) holds row i in column i and
-# a1 = lose |0><1| row 0 in column 1, so a product holds row i in column i ^ x (x the
-# qubits it damps) or nowhere; the collective pair holds row i in column i, and row 15
-# in column 0. A row held nowhere is put in column 0
+# a1 = lose |0><1| row 0 in column 1 (and a 0 in row 1, column 0), so a product holds
+# row i in column i ^ x (x the qubits it damps), a 0 where a1 holds nothing; the
+# collective pair holds row i in column i, and row 15 (else a 0) in column 0
 _AD_COLUMNS = np.concatenate([np.arange(16)[:, None] ^ (_AD_PATTERNS @ [8, 4, 2, 1]),
                               np.arange(16)[:, None] * [1, 0]], axis=1)
 _AD_COLUMNS.setflags(write=False)
@@ -157,9 +157,9 @@ def build_channel(spec: ChannelSpec) -> KrausSet:
 
 def _kraus_tables(kind: str, p, mu):
     """The (16, k) table of ``build_channel``'s set at each of n (p, mu) points, in
-    order, all points checked first: operator k holds, in row i, its one nonzero entry
-    values[i, k] at column columns[i, k], or, in a row of zeros, 0 at column 0. Pauli
-    weights in one call, damping entries once per run of p. Each table is new."""
+    order, all points checked first: operator k holds, in row i, its one entry
+    values[i, k] at column columns[i, k], 0 in a row of zeros. Pauli weights in one
+    call, damping entries once per run of p. Each table is new."""
     p, mu = np.asarray(p, dtype=float), np.asarray(mu, dtype=float)
     if kind != "amplitude_damping":
         for w in pauli_memory_weights(kind, p, mu):  # checks the kind and every point
@@ -180,9 +180,7 @@ def _kraus_tables(kind: str, p, mu):
         # complex products; zero operators are dropped
         values = unscaled * np.repeat([np.sqrt(1.0 - mu_i), np.sqrt(mu_i)], [16, 2])
         keep = np.abs(values).max(axis=0) > 0.0
-        columns, values = np.compress(keep, _AD_COLUMNS, axis=1), np.compress(keep, values, axis=1)
-        columns[values == 0] = 0  # where a scan of the stack finds a row of zeros
-        yield columns, values
+        yield np.compress(keep, _AD_COLUMNS, axis=1), np.compress(keep, values, axis=1)
 
 
 def _scatter(columns: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -120,14 +120,14 @@ class KrausSet:
 
     The set copies what ``apply_kraus`` reads, so the caller's array is neither kept
     nor frozen: the (n*d, d) rows of every A_k+ for the second product, and for the
-    first a (d, n) table of the columns and values of the one nonzero entry in each
-    row of each A_k, when every entry so kept is real or imaginary (the X^c D form
-    of every ``build_channel`` operator), else the (d*n, d) rows of every A_k.
-    sum A+A is diagonal for a table-form set, which reads its completeness residual
-    off the table; any other set takes it from the Gram product of its stack.
-    ``stack`` reads the operators back from the adjoints, as a new read-only
-    (n, d, d) array. Iterating the set yields its operators; calling it is the
-    channel, ``ks(rho) == apply_kraus(rho, ks)``.
+    first either the (d*n, d) rows of every A_k or a (d, n) table of the column and
+    value of the one entry in each row of each A_k. A caller's stack, whatever its
+    entries, keeps the dense rows and takes its residual from the Gram product. The
+    table layout comes only from a table (``_from_table``, the X^c D form of every
+    ``build_channel`` operator), whose sum A+A is diagonal and whose residual is read
+    off the table. ``stack`` reads the operators back from the adjoints, as a new
+    read-only (n, d, d) array. Iterating the set yields its operators; calling it is
+    the channel, ``ks(rho) == apply_kraus(rho, ks)``.
     """
 
     def __init__(self, operators):
@@ -136,57 +136,39 @@ class KrausSet:
             raise ValueError("empty Kraus set")
         if operators.ndim != 3 or operators.shape[1] != operators.shape[2]:
             raise ValueError(f"Kraus set must be an (n, d, d) stack, got {operators.shape}")
+        self.completeness_residual = completeness_residual(operators)
         # the adjoints conjugated straight into their row layout; conjugation is exact,
         # so the operators read back from them bit for bit, signed zeros included
-        adjoints = np.empty(operators.shape, dtype=complex)
-        np.conjugate(operators.swapaxes(1, 2), out=adjoints)
-        # row i of A_k as (column, value) at [i, k], from one pass over the stack; no row
-        # holds two nonzero entries when the stack holds no more of them than its
-        # nonzero rows do
-        nonzero = operators != 0
-        columns = nonzero.argmax(axis=2).T
-        values = np.take_along_axis(operators, columns.T[..., None], axis=2)[..., 0].T
-        if (np.count_nonzero(nonzero) == np.count_nonzero(values)
-                and ((values.real == 0) | (values.imag == 0)).all()):
-            self._lay_out(columns.copy(), values.copy(), adjoints)
-            return
-        self.completeness_residual = completeness_residual(operators)
+        self._adjoints = np.empty(operators.shape, dtype=complex)
+        np.conjugate(operators.swapaxes(1, 2), out=self._adjoints)
         # row i*n + k is row i of A_k, a C-order copy, so never the caller's array
-        self._adjoints = adjoints
         self._dense_rows = operators.swapaxes(0, 1).copy().reshape(-1, operators.shape[-1])
         self._freeze()
 
     @classmethod
     def _from_table(cls, columns: np.ndarray, values: np.ndarray) -> KrausSet:
-        """The set whose A_k holds, in each row i, the one entry values[i, k] at column
-        columns[i, k] (a row of zeros: 0 at any column), from a (d, n) table whose
-        values are all real or imaginary. The set adopts both arrays."""
+        """The set whose A_k holds, in each row i, the one entry values[i, k] (0 in a row
+        of zeros) at column columns[i, k], from a (d, n) table whose values are all real
+        or imaginary. The set adopts both arrays for the gather, reads its exact
+        residual off them, and scatters its adjoint rows from them."""
         ks = cls.__new__(cls)
-        ks._lay_out(columns, values)
-        return ks
-
-    def _lay_out(self, columns: np.ndarray, values: np.ndarray, adjoints=None) -> None:
-        """Lay the set out from its (d, n) table: the table for the gather, the exact
-        residual of the table, and the adjoint rows, scattered from the table unless
-        ``adjoints`` holds them already."""
         dim, n = values.shape
-        self._dense_rows, self._columns, self._values = None, columns.reshape(-1), values
+        ks._dense_rows, ks._columns, ks._values = None, columns.reshape(-1), values
         # with one nonzero entry per row, sum A+A is diagonal
-        self.completeness_residual = float(np.abs(self._column_weights(slice(None)) - 1.0).max())
-        if adjoints is None:
-            # entry [k, c, i] is conj(A_k[i, c]), at flat index at[i, k], among
-            # conj(+0) = (0, -0) everywhere else: the bytes of the conjugated stack the
-            # table scatters into. The index is formed, and the table conjugated in place
-            # and back (exact both ways), so that no temporary lives beside the adjoints
-            at = columns * dim
-            at += np.arange(n) * dim * dim
-            at += np.arange(dim)[:, None]
-            adjoints = np.full((n, dim, dim), complex(0.0, -0.0))
-            np.conjugate(values, out=values)
-            adjoints.reshape(-1)[at] = values
-            np.conjugate(values, out=values)
-        self._adjoints = adjoints
-        self._freeze()
+        ks.completeness_residual = float(np.abs(ks._column_weights(slice(None)) - 1.0).max())
+        # entry [k, c, i] is conj(A_k[i, c]), at flat index at[i, k], among conj(+0) =
+        # (0, -0) everywhere else: the bytes of the conjugated stack the table scatters
+        # into. The index is formed, and the table conjugated in place and back (exact
+        # both ways), so that no temporary lives beside the adjoints
+        at = columns * dim
+        at += np.arange(n) * dim * dim
+        at += np.arange(dim)[:, None]
+        ks._adjoints = np.full((n, dim, dim), complex(0.0, -0.0))
+        np.conjugate(values, out=values)
+        ks._adjoints.reshape(-1)[at] = values
+        np.conjugate(values, out=values)
+        ks._freeze()
+        return ks
 
     def _freeze(self) -> None:
         for array in vars(self).values():

@@ -19,13 +19,14 @@ bound, where the gate takes one:
   Kraus sets have 256 operators, against phase flip at p = mu = 0, whose sets have 1.
   A 256-operator set is laid out from its column/value table and keeps its operators
   once, as adjoint rows, beside that 96 KiB gather table: 1.1 MiB, about 280 pages. It
-  read +481 to +521 faults; a plain 1 MiB stack built and scanned for the table read
-  +551 to +555, and dense (4096, 16) operator rows kept beside the adjoint rows fault
-  in about 490 pages more.
+  read +481 to +489 faults; a plain 1 MiB stack built first read +551 to +555, and
+  dense (4096, 16) operator rows kept beside the adjoint rows fault in about 490 pages
+  more.
 - ``validate FAULTS``: ``validate``, whose completeness check builds 16 depolarizing
   stacks of 256 operators, 1 MiB each, against a 1-operator phase-flip ``payoff``.
-  It read +304 to +393 faults. A previous stack kept alive while the next one is built
-  adds about 255 faults.
+  It read +392 to +403 faults, and +366 to +376 with one more 288-byte temporary per
+  damping table, at the same tracemalloc peak: heap placement alone moves it by about
+  25. A previous stack kept alive while the next one is built adds about 255 faults.
 
 A child reads its own ``VmHWM``, which exec resets, where ``ru_maxrss`` would start
 at the high water of the process that spawned it, so a gate can run from any

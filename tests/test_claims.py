@@ -4,6 +4,11 @@ Each test asserts what the simulator gives for player 1's equilibrium payoff
 at gamma = pi/2 on an 11-point p grid, whether or not that bears the claim
 out; its docstring says which. All four players score alike at the symmetric
 equilibrium, so player 1 stands for every player.
+
+The last three tests measure the payoff against the classical line: the
+classical four-player Minority game's symmetric mixed equilibrium pays each
+player 1/8, against 1/4 for the noiseless quantum one. They check every
+player's payoff, on the grids their docstrings name.
 """
 
 import itertools
@@ -15,6 +20,7 @@ import pytest
 from qminority import channels, game
 
 GRID = np.linspace(0.0, 1.0, 11)
+CLASSICAL = 1 / 8
 
 
 @lru_cache(maxsize=None)
@@ -67,3 +73,33 @@ def test_phase_flip_is_symmetric_about_half_decoherence():
     for mu in GRID.tolist():
         values = curve("phase_flip", mu)
         assert np.abs(values - values[::-1]).max() <= 1e-12, mu
+
+
+def payoffs(kind: str, p, mu) -> np.ndarray:
+    """All four players' payoffs at each (p, mu) point, at gamma = pi/2."""
+    return game.evaluate(kind, p, mu, np.pi / 2).payoffs
+
+
+def test_bit_flips_pay_a_quarter_across_half_decoherence():
+    """Beyond the paper: bit flip and bit-phase flip satisfy f(p) + f(1 - p) =
+    1/4 to 1e-12 on the 11 x 5 grid of ``compare``, so at p = 1/2 they pay the
+    classical 1/8 at every mu."""
+    p, mu = np.meshgrid(GRID, np.linspace(0.0, 1.0, 5), indexing="ij")
+    for kind in ("bit_flip", "bit_phase_flip"):
+        f = payoffs(kind, p.ravel(), mu.ravel()).reshape(11, 5, 4)
+        assert np.abs(f + f[::-1] - 0.25).max() <= 1e-12, kind
+
+
+def test_full_damping_pays_an_eighth_of_the_memory():
+    """Beyond the paper: amplitude damping at p = 1 pays mu/8 to 1e-12 at 21
+    values of mu, so it reaches the classical 1/8 only at mu = 1."""
+    mu = np.linspace(0.0, 1.0, 21)
+    assert np.abs(payoffs("amplitude_damping", 1.0, mu) - mu[:, None] / 8).max() <= 1e-12
+
+
+def test_depolarizing_and_phase_flip_keep_the_classical_payoff():
+    """Beyond the paper: depolarizing and phase flip never pay less than
+    1/8 - 1e-12 on a 51 x 51 (p, mu) grid."""
+    p, mu = np.meshgrid(np.linspace(0.0, 1.0, 51), np.linspace(0.0, 1.0, 51))
+    for kind in ("depolarizing", "phase_flip"):
+        assert payoffs(kind, p.ravel(), mu.ravel()).min() >= CLASSICAL - 1e-12, kind

@@ -716,11 +716,11 @@ class TestValidate:
         # the 125 completeness residuals come from plain stacks; the one set laid out
         # is the equilibrium search's, which it applies
         residuals, layouts = [], []
-        residual, lay_out = linalg.completeness_residual, linalg.KrausSet._lay_out
+        residual, from_table = linalg.completeness_residual, linalg.KrausSet._from_table
         monkeypatch.setattr(linalg, "completeness_residual",
                             lambda stack: residuals.append(type(stack)) or residual(stack))
-        monkeypatch.setattr(linalg.KrausSet, "_lay_out",
-                            lambda ks, *args: layouts.append(ks) or lay_out(ks, *args))
+        monkeypatch.setattr(linalg.KrausSet, "_from_table",
+                            lambda *table: layouts.append(table) or from_table(*table))
         code, _, _ = run_cli(argv, capsys)
         assert code == (1 if len(argv) > 1 else 0)
         assert residuals == [np.ndarray] * 125
@@ -908,9 +908,9 @@ class TestBestResponse:
     def test_lays_out_one_set_from_its_table(self, channel, capsys, monkeypatch):
         # the search's one Kraus set is laid out from its table: no plain stack is
         # scattered and no Gram product taken
-        layouts, lay_out = [], linalg.KrausSet._lay_out
-        monkeypatch.setattr(linalg.KrausSet, "_lay_out",
-                            lambda ks, *args: layouts.append(ks) or lay_out(ks, *args))
+        layouts, from_table = [], linalg.KrausSet._from_table
+        monkeypatch.setattr(linalg.KrausSet, "_from_table",
+                            lambda *table: layouts.append(table) or from_table(*table))
         monkeypatch.setattr(linalg, "completeness_residual", reached)
         monkeypatch.setattr(channels, "_scatter", reached)
         code, _, _ = run_cli(["best-response", "--channel", channel, "--p", "0.3",

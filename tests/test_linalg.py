@@ -188,11 +188,19 @@ class TestApplyKraus:
         assert peak < 3 * 2 ** 20
 
     def test_stack_list_input_matches_kraus_set(self):
-        ks = channels.build_channel(channels.ChannelSpec("bit_flip", 0.2, 0.5))
+        # a caller's stack or list of a channel's operators keeps the dense rows, and
+        # gives the bits the channel's gather does: each entry of A_k rho is one product
+        # plus exact zeros however it is formed
         rng = np.random.default_rng(8)
         stack = np.stack([random_density(rng) for _ in range(3)])
-        assert np.array_equal(linalg.apply_kraus(stack, list(ks)),
-                              linalg.apply_kraus(stack, ks))
+        grid = (0.0, 0.25, 0.5, 0.75, 1.0)
+        for kind in channels.KINDS:
+            for p in grid:
+                for mu in grid:
+                    ks = channels.build_channel(channels.ChannelSpec(kind, p, mu))
+                    want = linalg.apply_kraus(stack, ks).tobytes()
+                    assert linalg.apply_kraus(stack, ks.stack).tobytes() == want, (kind, p, mu)
+                    assert linalg.apply_kraus(stack, list(ks)).tobytes() == want, (kind, p, mu)
 
 
 def two_product_reference(rho, stack):
@@ -267,14 +275,22 @@ class TestApplyKrausLayout:
                 assert ks.stack.tobytes() == plain.tobytes()
                 assert not ks.stack.flags.writeable
 
-    def test_complex_entries_take_the_dense_rows(self):
-        # one nonzero entry per row, but neither real nor imaginary: a gather would
-        # round each entry's complex product on its own, so the set keeps its rows
+    @pytest.mark.parametrize("operators", [
+        # one nonzero entry per row, but neither real nor imaginary
+        lambda rng: [np.sqrt(w) * np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 16)))
+                     for w in rng.dirichlet(np.ones(3))],
+        # X^c D, real: a permutation pair, and a damping stack with rows of zeros
+        lambda rng: np.stack([np.sqrt(0.5) * np.eye(16), np.sqrt(0.5) * np.eye(16)[::-1]]),
+        lambda rng: channels.build_channel(
+            channels.ChannelSpec("amplitude_damping", 1.0, 0.5)).stack,
+    ], ids=["complex-diagonal", "permutation-pair", "channel-stack"])
+    def test_complex_entries_take_the_dense_rows(self, operators):
+        # a caller's stack keeps its dense rows whatever its entries: only a table is
+        # laid out for the gather
         rng = np.random.default_rng(16)
-        weights = rng.dirichlet(np.ones(3))
-        ks = linalg.KrausSet([np.sqrt(w) * np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 16)))
-                              for w in weights])
-        assert ks._dense_rows.shape == (16 * 3, 16)
+        ks = linalg.KrausSet(operators(rng))
+        assert ks._dense_rows.shape == (16 * len(ks), 16)
+        assert not hasattr(ks, "_columns") and not hasattr(ks, "_values")
         for shape in [(), (1,), (3,)]:
             rho = random_densities(rng, shape)
             got = linalg.apply_kraus(rho, ks)
@@ -337,61 +353,39 @@ class TestApplyKrausLayout:
             ks.stack[0, 0, 0] = 1.0
 
 
-def random_gather_stack(rng, n=6, dim=8):
-    """A complete (n, dim, dim) Kraus stack with one nonzero entry per row, real or
-    imaginary, at columns repeated within and across operators, with zero rows and
-    zero entries of both signs: operator 0 has an entry in every column, and each entry
-    is divided by the root of its column's sum of squares."""
-    columns = rng.integers(0, dim, size=(n, dim))
-    columns[0] = rng.permutation(dim)
-    values = rng.normal(size=(n, dim)) * np.where(rng.random((n, dim)) < 0.5, 1.0, 1j)
-    values[1:][rng.random((n - 1, dim)) < 0.25] = 0.0
+def random_table(rng, n=6, dim=8):
+    """A complete (dim, n) column/value table: one entry per row of each operator, real
+    or imaginary, at columns repeated within and across operators, with zero entries
+    of both signs: operator 0 has an entry in every column, and each entry is divided
+    by the root of its column's sum of squares."""
+    columns = rng.integers(0, dim, size=(dim, n))
+    columns[:, 0] = rng.permutation(dim)
+    values = rng.normal(size=(dim, n)) * np.where(rng.random((dim, n)) < 0.5, 1.0, 1j)
+    zero = np.zeros((dim, n), dtype=bool)
+    zero[:, 1:] = rng.random((dim, n - 1)) < 0.25
+    values[zero] = 0.0
     values /= np.sqrt(np.bincount(columns.ravel(), (np.abs(values) ** 2).ravel())[columns])
-    stack = np.zeros((n, dim, dim), dtype=complex)
-    stack[rng.random((n, dim, dim)) < 0.3] = complex(-0.0, -0.0)
-    stack[np.arange(n)[:, None], np.arange(dim), columns] = values
-    return stack
+    values[zero] = np.where(rng.random(zero.sum()) < 0.5, complex(-0.0, -0.0), 0.0)
+    return columns, values
 
 
 class TestTableLayout:
-    """A set whose operators have one real or imaginary nonzero entry per row is laid
-    out from its (d, n) column and value table, with no Gram product."""
+    """A set given as a (d, n) table of the column and value of the one entry in each
+    row of each operator is laid out for the gather, with no Gram product."""
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("scale", [1.0, 0.9])
     def test_residual_matches_the_gram_product(self, seed, scale):
-        stack = scale * random_gather_stack(np.random.default_rng(seed))
-        ks = linalg.KrausSet(stack)
+        columns, values = random_table(np.random.default_rng(seed))
+        values *= scale
+        dim, n = values.shape
+        plain = np.zeros((n, dim, dim), dtype=complex)
+        plain[np.arange(n), np.arange(dim)[:, None], columns] = values
+        ks = linalg.KrausSet._from_table(columns, values)
         assert ks._dense_rows is None
-        assert abs(ks.completeness_residual - linalg.completeness_residual(stack)) <= 1e-15
-        # the adjoint rows are the conjugated input, so its signed zeros read back
-        assert ks.stack.tobytes() == stack.tobytes()
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_scanned_table_gives_the_same_set(self, seed):
-        # the table a stack is scanned for, laid out on its own, is the same set
-        stack = random_gather_stack(np.random.default_rng(seed))
-        scanned = linalg.KrausSet(stack)
-        table = linalg.KrausSet._from_table(scanned._columns.reshape(8, -1).copy(),
-                                            scanned._values.copy())
-        assert table.completeness_residual == scanned.completeness_residual
-        for name in ("_columns", "_values"):
-            assert getattr(table, name).tobytes() == getattr(scanned, name).tobytes()
-        rho = random_density(np.random.default_rng(seed), dim=8)
-        assert table(rho).tobytes() == scanned(rho).tobytes()
-
-    @pytest.mark.parametrize("kind", channels.KINDS)
-    def test_channel_tables_are_the_scanned_tables(self, kind):
-        # each channel set is the one KrausSet lays out from the plain stack, operand
-        # for operand and bit for bit: a row of zeros sits in column 0, as a scan finds it
-        grid = (0.0, 0.25, 0.5, 0.75, 1.0)
-        for p in grid:
-            for mu in grid:
-                ks = channels.build_channel(channels.ChannelSpec(kind, p, mu))
-                scanned = linalg.KrausSet(next(channels._kraus_sets(kind, [p], [mu])))
-                assert ks.completeness_residual == scanned.completeness_residual, (p, mu)
-                for name in ("_adjoints", "_columns", "_values"):
-                    assert getattr(ks, name).tobytes() == getattr(scanned, name).tobytes()
+        assert abs(ks.completeness_residual - linalg.completeness_residual(ks.stack)) <= 1e-15
+        # the adjoint rows are scattered from the table, so its signed zeros read back
+        assert ks.stack.tobytes() == plain.tobytes()
 
     def test_scaled_weight_fails_completeness(self):
         # one operator of a depolarizing table 1.01 times too long: its weight is 2%
@@ -404,8 +398,8 @@ class TestTableLayout:
 
     def test_build_holds_no_stack_beside_the_adjoints(self):
         # a 256-operator set keeps its 1 MiB of adjoint rows and its 96 KiB table;
-        # building it holds at most one 32 KiB index beside them, where a plain stack
-        # scanned for its table took another 1 MiB
+        # building it holds at most one 32 KiB index beside them, where the plain stack
+        # of a caller took another 1 MiB
         spec = channels.ChannelSpec("depolarizing", 0.3, 0.3)
         channels.build_channel(spec)
         tracemalloc.start()
