@@ -387,6 +387,36 @@ class TestTableLayout:
         # the adjoint rows are scattered from the table, so its signed zeros read back
         assert ks.stack.tobytes() == plain.tobytes()
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_table_and_its_stack_are_the_same_channel(self, seed):
+        # the gather of a table and the dense rows of the stack read back from it form
+        # each entry of A_k rho as the same one product, repeated columns and rows of
+        # zeros included, so both apply the set bit for bit as the reference does
+        rng = np.random.default_rng(seed)
+        table = linalg.KrausSet._from_table(*random_table(rng))
+        dense = linalg.KrausSet(table.stack)
+        assert dense._dense_rows is not None
+        assert dense.stack.tobytes() == table.stack.tobytes()
+        assert abs(table.completeness_residual - dense.completeness_residual) <= 1e-15
+        for count in [None, 1, 3]:
+            rho = (random_density(rng, dim=8) if count is None
+                   else np.stack([random_density(rng, dim=8) for _ in range(count)]))
+            want = two_product_reference(rho, table.stack).tobytes()
+            assert table(rho).tobytes() == want
+            assert dense(rho).tobytes() == want
+
+    @pytest.mark.parametrize("kind", channels.KINDS)
+    def test_channel_residual_matches_the_gram_product(self, kind):
+        # the residual each channel set reads off its table is the Gram product's of
+        # the plain stack the batch yields, on the whole 5x5 grid
+        grid = (0.0, 0.25, 0.5, 0.75, 1.0)
+        for p in grid:
+            for mu in grid:
+                ks = channels.build_channel(channels.ChannelSpec(kind, p, mu))
+                plain = next(channels._kraus_sets(kind, [p], [mu]))
+                gram = linalg.completeness_residual(plain)
+                assert abs(ks.completeness_residual - gram) <= 1e-15, (p, mu)
+
     def test_scaled_weight_fails_completeness(self):
         # one operator of a depolarizing table 1.01 times too long: its weight is 2%
         # too large in every column
