@@ -5,7 +5,7 @@ at gamma = pi/2 on an 11-point p grid, whether or not that bears the claim
 out; its docstring says which. All four players score alike at the symmetric
 equilibrium, so player 1 stands for every player.
 
-The last three tests measure the payoff against the classical line: the
+The last five tests measure the payoff against the classical line: the
 classical four-player Minority game's symmetric mixed equilibrium pays each
 player 1/8, against 1/4 for the noiseless quantum one. They check every
 player's payoff, on the grids their docstrings name.
@@ -103,3 +103,36 @@ def test_depolarizing_and_phase_flip_keep_the_classical_payoff():
     p, mu = np.meshgrid(np.linspace(0.0, 1.0, 51), np.linspace(0.0, 1.0, 51))
     for kind in ("depolarizing", "phase_flip"):
         assert payoffs(kind, p.ravel(), mu.ravel()).min() >= CLASSICAL - 1e-12, kind
+
+
+FINE = np.linspace(0.0, 1.0, 10001)
+
+
+def first_below(kind: str, mu: float) -> np.ndarray:
+    """Each player's first p of a 10,001-point grid where the payoff is below
+    1/8 - 1e-12, or nan where there is none."""
+    below = payoffs(kind, FINE, mu) < CLASSICAL - 1e-12
+    return np.where(below.any(axis=0), FINE[below.argmax(axis=0)], np.nan)
+
+
+def test_bit_flip_first_falls_below_the_classical_payoff_at_one_minus_root_half():
+    """Beyond the paper: with no memory, bit flip first pays less than 1/8 at
+    p = 1 - 1/sqrt(2), at 0.2929 on a 10,001-point grid and to 1e-9 by bisection
+    between that point and the one before (4.7e-14 measured)."""
+    hi = first_below("bit_flip", 0.0)
+    assert np.abs(hi - 0.2929).max() <= 1e-12
+    lo = hi - 1e-4
+    for _ in range(40):
+        mid = (lo + hi) / 2
+        above = np.diagonal(payoffs("bit_flip", mid, 0.0)) >= CLASSICAL
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    assert np.abs(lo - (1 - 1 / np.sqrt(2))).max() <= 1e-9
+
+
+def test_memory_delays_the_damping_payoffs_fall_below_the_classical_one():
+    """Beyond the paper: amplitude damping first pays less than 1/8 at p = 0.4302,
+    0.5750, 0.7359 and 0.9094 on a 10,001-point grid at mu = 0, 0.25, 0.5 and 0.75.
+    At mu = 1 it never does (player 1's least payoff is 1/8 - 2.8e-17, at p = 1)."""
+    for mu, crossing in zip((0.0, 0.25, 0.5, 0.75), (0.4302, 0.5750, 0.7359, 0.9094)):
+        assert np.abs(first_below("amplitude_damping", mu) - crossing).max() <= 1e-12, mu
+    assert np.isnan(first_below("amplitude_damping", 1.0)).all()

@@ -316,11 +316,6 @@ class TestStreamedSweep:
         assert err.startswith("error: final state failed validation")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.skipif(not GLIBC, reason=GATES_SKIP)
-    def test_peak_rss_is_flat(self, capsys):
-        # 20,001 points streamed in 79 slices peak within 3 MB of 1,001 points
-        assert memory_gates.main(["sweep", "20001", "3"]) == 0, capsys.readouterr().out
-
 
 # floats the table writer must keep apart or format alike: signed zeros, repeats, a
 # subnormal, both infinities and nans of both signs
@@ -422,10 +417,16 @@ print(qminority.cli.main(sys.argv[1:]), calls)
 
 
 @pytest.mark.skipif(not GLIBC, reason=GATES_SKIP)
-@pytest.mark.parametrize("gate, bound", [("kraus", "760"), ("validate", "450")])
-def test_memory_gate(gate, bound, capsys):
-    # two of CI's memory gates at their CI bounds, each call in its own child
-    assert memory_gates.main([gate, bound]) == 0, capsys.readouterr().out
+@pytest.mark.parametrize("gate", ["sweep", "kraus", "validate"])
+def test_memory_gate(gate, capsys):
+    # the gates that take seconds; CI runs the other two
+    assert memory_gates.main([gate]) == 0, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [[], ["sweeps"], ["sweep", "kraus"]])
+def test_memory_gate_usage(argv, capsys):
+    assert memory_gates.main(argv) == 2
+    assert capsys.readouterr().err.startswith("usage: memory_gates.py {sweep,")
 
 
 class TestHeapPolicy:
@@ -1065,30 +1066,30 @@ class TestPayoff:
 
 
 class TestEntryPoint:
-    def test_subprocess_matches_inprocess(self, tmp_path, capsys):
-        argv = ["sweep", "--channel", "pf", "--vary", "p", "--mu", "0",
-                "--gamma", "pi/2", "--points", "5"]
-        # the child imports the same package as this process, installed or not
-        src = os.path.dirname(os.path.dirname(qminority.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    @pytest.mark.parametrize("argv, code", [
+        (["sweep", "--channel", "pf", "--vary", "p", "--mu", "0", "--gamma", "pi/2",
+          "--points", "5"], 0),
+        (["validate"], 0),
+        (["validate", "--inject-broken-channel"], 1),
+    ], ids=["sweep", "validate", "validate-broken"])
+    def test_subprocess_matches_inprocess(self, argv, code, capsys):
         proc = subprocess.run([sys.executable, "-m", "qminority.cli"] + argv,
-                              capture_output=True, timeout=120,
-                              env=dict(os.environ, PYTHONPATH=path))
-        assert proc.returncode == 0
-        code, out, _ = run_cli(argv, capsys)
-        assert code == 0
-        assert proc.stdout.decode() == out
+                              capture_output=True, text=True, timeout=120, env=child_env())
+        assert proc.returncode == code, proc.stderr
+        assert run_cli(argv, capsys)[:2] == (code, proc.stdout)
+        # a tampered Kraus stack fails the completeness check and no other
+        failed = [line for line in proc.stdout.splitlines() if "FAIL" in line]
+        assert len(failed) == code
+        assert all(line.startswith("channel completeness: FAIL ") for line in failed)
 
     def test_closed_stdout_pipe_exits_1_without_traceback(self):
         # about 0.5 MB of CSV, more than a pipe buffers, so the child is still
         # writing when the reader closes the pipe after one line
         argv = ["sweep", "--channel", "pf", "--vary", "p", "--mu", "0.3",
                 "--gamma", "pi/2", "--points", "2001"]
-        src = os.path.dirname(os.path.dirname(qminority.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         with subprocess.Popen([sys.executable, "-m", "qminority.cli"] + argv,
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                              env=dict(os.environ, PYTHONPATH=path)) as proc:
+                              env=child_env()) as proc:
             assert proc.stdout.readline() == (cli.CSV_HEADER + "\n").encode()
             proc.stdout.close()
             _, err = proc.communicate(timeout=120)
